@@ -25,7 +25,7 @@ and ``out = segsum(m, dst)``:
   ``dv = relu(a)^T dz``; ``da = d relu(a) * [a > 0]``;
   ``db = sum_E da``; ``dWs = h_src^T da``; ``dWr = h_rel^T da``;
 * ``dh_src = da @ Ws + ds`` and ``dh_rel = da @ Wr + ds``, scattered
-  back into ``hidden_prev`` / the relation table with ``np.add.at``.
+  back into ``hidden_prev`` / the relation table (``scatter_add_rows``).
 
 Every numpy expression replicates the exact operation order of the
 unfused composition, so the fused KUCNet layer is **bitwise identical**
@@ -56,7 +56,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..telemetry import tracer as _tracer
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _unbroadcast, scatter_add_rows
 
 __all__ = ["fusion_enabled", "force_fusion", "fused_attention_messages",
            "fused_segment_softmax", "fused_gather_mul_segment_sum",
@@ -180,9 +180,7 @@ def fused_attention_messages(
             messages = m0 * alpha.reshape(-1, 1)
         else:
             messages = m0
-        out_data = np.zeros((num_dst,) + messages.shape[1:],
-                            dtype=messages.dtype)
-        np.add.at(out_data, dst_pos, messages)
+        out_data = scatter_add_rows(dst_pos, messages, num_dst)
 
     # Bytes of the reference composition's intermediate tape nodes this
     # single node replaces: h_src/h_rel/s/m0 (and the msg product under
@@ -254,12 +252,10 @@ def fused_attention_messages(
         # The reference gathers always scatter (their backward has no
         # requires-grad guard); mirror that so gradient side effects on
         # non-parameter tensors stay identical.
-        buffer = np.zeros_like(hp)
-        np.add.at(buffer, src_pos, grad_h_src)
-        hidden_prev._accumulate_grad(buffer)
-        buffer = np.zeros_like(rw)
-        np.add.at(buffer, relations, grad_h_rel)
-        relation_weight._accumulate_grad(buffer)
+        hidden_prev._accumulate_grad(
+            scatter_add_rows(src_pos, grad_h_src, hp.shape[0]))
+        relation_weight._accumulate_grad(
+            scatter_add_rows(relations, grad_h_rel, rw.shape[0]))
 
     out._backward_fn = _backward
     attention_values: Optional[np.ndarray] = None
@@ -294,8 +290,7 @@ def fused_segment_softmax(x: Tensor, segment_ids: np.ndarray,
                           dtype=x.data.dtype)
         np.maximum.at(seg_max, segment_ids, x.data)
         exp = np.exp(x.data + (-seg_max[segment_ids]))
-        denom = np.zeros((num_segments,) + tail_shape, dtype=exp.dtype)
-        np.add.at(denom, segment_ids, exp)
+        denom = scatter_add_rows(segment_ids, exp, num_segments)
         return exp, denom[segment_ids]
 
     with _tracer.span("autodiff.fused"):
@@ -314,9 +309,8 @@ def fused_segment_softmax(x: Tensor, segment_ids: np.ndarray,
         grad_out = out.grad
         exp, denom_edges = _forward_arrays()
         grad_exp = grad_out / denom_edges
-        grad_denom = np.zeros((num_segments,) + tail_shape, dtype=exp.dtype)
-        np.add.at(grad_denom, segment_ids,
-                  (-grad_out) * exp / (denom_edges ** 2))
+        grad_denom = scatter_add_rows(
+            segment_ids, (-grad_out) * exp / (denom_edges ** 2), num_segments)
         grad_exp = grad_exp + grad_denom[segment_ids]
         if _needs(x):
             x._accumulate_grad(grad_exp * exp)
@@ -363,9 +357,7 @@ def fused_gather_mul_segment_sum(
             messages = rows * y_rows
         else:
             messages = rows
-        out_data = np.zeros((num_segments,) + messages.shape[1:],
-                            dtype=messages.dtype)
-        np.add.at(out_data, segment_ids, messages)
+        out_data = scatter_add_rows(segment_ids, messages, num_segments)
 
     saved = rows.nbytes
     if y is not None:
@@ -387,15 +379,13 @@ def fused_gather_mul_segment_sum(
             grad_rows = dm * y_rows
         else:
             grad_rows = dm
-        buffer = np.zeros_like(x.data)
-        np.add.at(buffer, x_indices, grad_rows)
-        x._accumulate_grad(buffer)
+        x._accumulate_grad(
+            scatter_add_rows(x_indices, grad_rows, x.data.shape[0]))
         if y is not None and _needs(y):
             grad_y_rows = dm * x.data[x_indices]
             if y_indices is not None:
-                buffer = np.zeros_like(y.data)
-                np.add.at(buffer, y_indices, grad_y_rows)
-                y._accumulate_grad(buffer)
+                y._accumulate_grad(
+                    scatter_add_rows(y_indices, grad_y_rows, y.data.shape[0]))
             else:
                 y._accumulate_grad(_unbroadcast(grad_y_rows, y.data.shape))
 
@@ -440,9 +430,7 @@ def fused_rgcn_messages(
             term = ((source @ basis.data.swapaxes(-1, -2))
                     * coeff_rows[:, index:index + 1])
             messages = term if messages is None else messages + term
-        out_data = np.zeros((num_nodes,) + messages.shape[1:],
-                            dtype=messages.dtype)
-        np.add.at(out_data, tails, messages)
+        out_data = scatter_add_rows(tails, messages, num_nodes)
 
     itemsize = hidden.data.dtype.itemsize
     # source + coeff gather, then per basis: transpose view, matmul
@@ -477,12 +465,10 @@ def fused_rgcn_messages(
             grad_source = (contribution if grad_source is None
                            else grad_source + contribution)
         if _needs(basis_coeffs):
-            buffer = np.zeros_like(basis_coeffs.data)
-            np.add.at(buffer, relations, grad_coeff_rows)
-            basis_coeffs._accumulate_grad(buffer)
-        buffer = np.zeros_like(hidden.data)
-        np.add.at(buffer, heads, grad_source)
-        hidden._accumulate_grad(buffer)
+            basis_coeffs._accumulate_grad(scatter_add_rows(
+                relations, grad_coeff_rows, basis_coeffs.data.shape[0]))
+        hidden._accumulate_grad(
+            scatter_add_rows(heads, grad_source, hidden.data.shape[0]))
 
     out._backward_fn = _backward
     return out

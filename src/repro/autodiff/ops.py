@@ -13,7 +13,7 @@ import numpy as np
 
 from ..telemetry import tracer as _tracer
 from .fused import fused_segment_softmax, fusion_enabled
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, scatter_add_rows
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -32,9 +32,7 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     out.requires_grad = Tensor._needs_graph(x)
 
     def _backward():
-        grad = np.zeros_like(x.data)
-        np.add.at(grad, indices, out.grad)
-        x._accumulate_grad(grad)
+        x._accumulate_grad(scatter_add_rows(indices, out.grad, x.data.shape[0]))
 
     out._backward_fn = _backward
     return out
@@ -56,10 +54,7 @@ def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     if _tracer.STATE.enabled:
         _tracer.counter("autodiff.segment_sum")
         _tracer.counter("autodiff.segment_sum.rows", segment_ids.size)
-    out_shape = (num_segments,) + x.data.shape[1:]
-    out_data = np.zeros(out_shape, dtype=x.data.dtype)
-    np.add.at(out_data, segment_ids, x.data)
-    out = Tensor(out_data, parents=(x,))
+    out = Tensor(scatter_add_rows(segment_ids, x.data, num_segments), parents=(x,))
     out.requires_grad = Tensor._needs_graph(x)
 
     def _backward():

@@ -23,9 +23,11 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..telemetry import tracer as _tracer
 
@@ -59,6 +61,42 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+#: Scatters of at least this many elements go through the sparse
+#: product; below it scipy's fixed per-call set-up (tens of µs) costs
+#: more than the whole bincount.
+SPARSE_SCATTER_MIN_ELEMENTS = 16384
+
+
+def scatter_add_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum ``values`` into rows ``index`` of a fresh zero array.
+
+    Bit for bit what ``np.add.at`` leaves in ``np.zeros((num_rows,) +
+    values.shape[index.ndim:])``, without its ufunc dispatch per element:
+    both paths start every sum at +0.0 and add the edges in edge order
+    (a COO product loops over its stored entries in order).  Only which
+    NaN survives when two NaNs meet may differ.  Indices outside
+    ``[0, num_rows)`` raise ``IndexError``; a negative one would alias.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    tail = values.shape[index.ndim:]
+    width = math.prod(tail)
+    index = index.reshape(-1)
+    if index.size and (index.min() < 0 or index.max() >= num_rows):
+        raise IndexError(f"scatter index out of range for {num_rows} rows")
+    flat = values.reshape(index.size, width)
+    if flat.size >= SPARSE_SCATTER_MIN_ELEMENTS:
+        incidence = sp.coo_array(
+            (np.ones(index.size), (index, np.arange(index.size))),
+            shape=(num_rows, index.size))
+        sums = incidence @ flat
+    else:
+        keys = (index[:, None] * width + np.arange(width)).reshape(-1)
+        sums = np.bincount(keys, weights=flat.reshape(-1),
+                           minlength=num_rows * width)
+    # astype: bincount returns int64 zeros when there are no weights.
+    return sums.astype(values.dtype, copy=False).reshape((num_rows,) + tail)
 
 
 class Tensor:

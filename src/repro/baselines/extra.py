@@ -55,8 +55,7 @@ class LightGCN(BPRModelRecommender):
         # Symmetric normalized bipartite adjacency as an edge list.
         self._src = np.concatenate([users, items])
         self._dst = np.concatenate([items, users])
-        degree = np.zeros(self.num_users + self.num_items)
-        np.add.at(degree, self._src, 1.0)
+        degree = np.bincount(self._src, minlength=self.num_users + self.num_items)
         inv_sqrt = 1.0 / np.sqrt(np.maximum(degree, 1.0))
         self._edge_norm = inv_sqrt[self._src] * inv_sqrt[self._dst]
 

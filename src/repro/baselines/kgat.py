@@ -69,8 +69,8 @@ class KGAT(BPRModelRecommender):
         logits = ((t + r) * np.tanh(h + r)).sum(axis=1)
         logits -= logits.max()
         weights = np.exp(logits)
-        denom = np.zeros(self.ckg.num_nodes)
-        np.add.at(denom, self.ckg.tails, weights)
+        denom = np.bincount(self.ckg.tails, weights=weights,
+                            minlength=self.ckg.num_nodes)
         return weights / np.maximum(denom[self.ckg.tails], 1e-12)
 
     def _propagate(self) -> Tensor:

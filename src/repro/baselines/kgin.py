@@ -73,15 +73,13 @@ class KGIN(BPRModelRecommender):
         self._kg_heads = np.concatenate([kg.heads, kg.tails])
         self._kg_rels = np.concatenate([kg.relations, kg.relations])
         self._kg_tails = np.concatenate([kg.tails, kg.heads])
-        degree = np.zeros(kg.num_entities)
-        np.add.at(degree, self._kg_heads, 1.0)
+        degree = np.bincount(self._kg_heads, minlength=kg.num_entities)
         self._kg_norm = 1.0 / np.maximum(degree, 1.0)
 
         # User aggregation index over training interactions.
         self._ui_users = split.train.users
         self._ui_item_entities = self._item_entity[split.train.items]
-        user_degree = np.zeros(dataset.num_users)
-        np.add.at(user_degree, self._ui_users, 1.0)
+        user_degree = np.bincount(self._ui_users, minlength=dataset.num_users)
         self._user_norm = 1.0 / np.maximum(user_degree, 1.0)
 
         self._cached_final = None

@@ -157,8 +157,7 @@ class MCRec(BPRModelRecommender):
         window_owner = np.tile(np.arange(num_paths), 3)
         per_path = segment_max(stacked, window_owner, num_paths, fill=0.0)
 
-        counts = np.zeros(len(pairs))
-        np.add.at(counts, owners, 1.0)
+        counts = np.bincount(owners, minlength=len(pairs))
         from ..autodiff import segment_sum
         pooled = segment_sum(per_path, np.asarray(owners), len(pairs))
         inverse = Tensor((1.0 / np.maximum(counts, 1.0)).reshape(-1, 1))

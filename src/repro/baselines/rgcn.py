@@ -62,8 +62,7 @@ class RGCN(BPRModelRecommender):
         self.self_loops = [Linear(dim, dim, bias=False, rng=self.rng)
                            for _ in range(self.num_layers)]
 
-        degree = np.zeros(self.ckg.num_nodes)
-        np.add.at(degree, self.ckg.tails, 1.0)
+        degree = np.bincount(self.ckg.tails, minlength=self.ckg.num_nodes)
         self._norm = 1.0 / np.maximum(degree, 1.0)
 
     def _propagate(self) -> Tensor:

@@ -66,8 +66,7 @@ class CollaborativeKG:
 
         # CSR index: edge ids of out-edges of node n are
         # [indptr[n], indptr[n + 1]).
-        counts = np.zeros(num_nodes, dtype=np.int64)
-        np.add.at(counts, self.heads, 1)
+        counts = np.bincount(self.heads, minlength=num_nodes)
         self.indptr = np.concatenate([[0], np.cumsum(counts)])
 
         self._item_node_to_item: Dict[int, int] = {

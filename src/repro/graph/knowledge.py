@@ -86,16 +86,12 @@ class KnowledgeGraph:
 
     def entity_degrees(self) -> np.ndarray:
         """Total (in + out) degree of each entity."""
-        degrees = np.zeros(self.num_entities, dtype=np.int64)
-        np.add.at(degrees, self.heads, 1)
-        np.add.at(degrees, self.tails, 1)
-        return degrees
+        return (np.bincount(self.heads, minlength=self.num_entities)
+                + np.bincount(self.tails, minlength=self.num_entities))
 
     def relation_counts(self) -> np.ndarray:
         """Number of triplets per relation."""
-        counts = np.zeros(self.num_relations, dtype=np.int64)
-        np.add.at(counts, self.relations, 1)
-        return counts
+        return np.bincount(self.relations, minlength=self.num_relations)
 
     def triplets_per_item(self, num_items: int) -> float:
         """KG density proxy: triplets divided by item count (Table II style)."""

@@ -101,15 +101,11 @@ class UserItemGraph:
 
     def item_degrees(self) -> np.ndarray:
         """Number of interactions per item."""
-        degrees = np.zeros(self.num_items, dtype=np.int64)
-        np.add.at(degrees, self.items, 1)
-        return degrees
+        return np.bincount(self.items, minlength=self.num_items)
 
     def user_degrees(self) -> np.ndarray:
         """Number of interactions per user."""
-        degrees = np.zeros(self.num_users, dtype=np.int64)
-        np.add.at(degrees, self.users, 1)
-        return degrees
+        return np.bincount(self.users, minlength=self.num_users)
 
     def density(self) -> float:
         """Fraction of the user-item matrix that is observed."""

@@ -58,8 +58,7 @@ class CompGCN(Module):
         self._rels = np.concatenate([kg.relations,
                                      kg.relations + kg.num_relations])
         self._tails = np.concatenate([kg.tails, kg.heads])
-        degree = np.zeros(kg.num_entities)
-        np.add.at(degree, self._tails, 1.0)
+        degree = np.bincount(self._tails, minlength=kg.num_entities)
         self._norm = 1.0 / np.maximum(degree, 1.0)
 
     def encode(self) -> Tuple[Tensor, Tensor]:

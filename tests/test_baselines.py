@@ -180,8 +180,8 @@ class TestModelSpecifics:
         model = KGAT(FAST)
         model.build(split)
         attention = model._attention()
-        sums = np.zeros(model.ckg.num_nodes)
-        np.add.at(sums, model.ckg.tails, attention)
+        sums = np.bincount(model.ckg.tails, weights=attention,
+                           minlength=model.ckg.num_nodes)
         present = np.unique(model.ckg.tails)
         assert np.allclose(sums[present], 1.0)
 

@@ -52,8 +52,8 @@ class TestGeneration:
 
         def shared_attr_fraction(dataset):
             # attribute entities with >= 2 inbound edges / all attr entities
-            degrees = np.zeros(dataset.kg.num_entities, dtype=int)
-            np.add.at(degrees, dataset.kg.tails, 1)
+            degrees = np.bincount(dataset.kg.tails,
+                                  minlength=dataset.kg.num_entities)
             attr = degrees[dataset.num_items:]
             attr = attr[attr > 0]
             return (attr >= 2).mean() if attr.size else 0.0

@@ -10,9 +10,8 @@ Public surface:
 * :func:`check_gradients` — finite-difference verification.
 """
 
-from .fused import (force_fusion, fused_attention_messages,
-                    fused_gather_mul_segment_sum, fused_rgcn_messages,
-                    fused_segment_softmax, fusion_enabled)
+from .fused import (fused_attention_messages, fused_gather_mul_segment_sum,
+                    fused_rgcn_messages, fused_segment_softmax)
 from .gradcheck import check_gradients, check_gradients_match, numeric_gradient
 from .module import (Dropout, Embedding, Linear, Module, Parameter, ReLU,
                      Sequential, Tanh)
@@ -29,8 +28,7 @@ __all__ = [
     "gather_rows", "segment_sum", "segment_max", "segment_softmax",
     "concat", "stack", "softmax", "dropout", "log_sigmoid", "bpr_loss",
     "l2_penalty", "mse_loss", "binary_cross_entropy_with_logits", "where",
-    "fusion_enabled", "force_fusion", "fused_attention_messages",
-    "fused_segment_softmax", "fused_gather_mul_segment_sum",
-    "fused_rgcn_messages",
+    "fused_attention_messages", "fused_segment_softmax",
+    "fused_gather_mul_segment_sum", "fused_rgcn_messages",
     "check_gradients", "check_gradients_match", "numeric_gradient",
 ]

@@ -28,9 +28,9 @@ and ``out = segsum(m, dst)``:
   back into ``hidden_prev`` / the relation table (``scatter_add_rows``).
 
 Every numpy expression replicates the exact operation order of the
-unfused composition, so the fused KUCNet layer is **bitwise identical**
-to the reference in both forward and backward — the golden-loss
-fixtures hold unchanged under either path.
+op-by-op composition, so the fused KUCNet layer is **bitwise identical**
+to it in both forward and backward; ``tests/reference_ops.py`` keeps
+that composition as the test oracle.
 
 ``fused_segment_softmax`` — ``out = exp(x - max_seg) / denom[seg]``:
 ``d exp = g / denom[seg] + scatter(-g * exp / denom[seg]^2)[seg]``,
@@ -40,61 +40,22 @@ reference composition).
 ``fused_gather_mul_segment_sum`` — ``out = segsum(x[ix] * y[iy], seg)``:
 ``dm = g[seg]``; ``dx[ix] += dm * y[iy]``; ``dy[iy] += dm * x[ix]``.
 
-Fusion is on by default; ``REPRO_FUSED=0`` (or :func:`force_fusion`)
-selects the reference composition for A/B runs and debugging.  Each
-fused forward bumps ``autodiff.fused_calls`` and adds the byte size of
-the intermediate tape nodes it eliminated to
+Each fused forward bumps ``autodiff.fused_calls`` and adds the byte
+size of the intermediate tape nodes it eliminated to
 ``autodiff.fused_saved_bytes``.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..telemetry import tracer as _tracer
 from .tensor import Tensor, _unbroadcast, scatter_add_rows
 
-__all__ = ["fusion_enabled", "force_fusion", "fused_attention_messages",
-           "fused_segment_softmax", "fused_gather_mul_segment_sum",
-           "fused_rgcn_messages"]
-
-#: test/A-B override; ``None`` defers to the ``REPRO_FUSED`` env var
-_FORCED: Optional[bool] = None
-
-_DISABLED_VALUES = ("0", "false", "off", "no")
-
-
-def fusion_enabled() -> bool:
-    """Whether call sites should take the fused path (default: yes).
-
-    ``REPRO_FUSED=0`` selects the unfused reference composition; the
-    :func:`force_fusion` context manager overrides the environment for
-    the duration of a block (used by the bench A/B pair and the parity
-    tests).
-    """
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_FUSED", "1").strip().lower() not in _DISABLED_VALUES
-
-
-@contextmanager
-def force_fusion(enabled: Optional[bool]) -> Iterator[None]:
-    """Override :func:`fusion_enabled` within a ``with`` block.
-
-    ``True``/``False`` force the fused/reference path regardless of
-    ``REPRO_FUSED``; ``None`` restores environment-driven behaviour.
-    """
-    global _FORCED
-    previous = _FORCED
-    _FORCED = enabled
-    try:
-        yield
-    finally:
-        _FORCED = previous
+__all__ = ["fused_attention_messages", "fused_segment_softmax",
+           "fused_gather_mul_segment_sum", "fused_rgcn_messages"]
 
 
 def _needs(tensor: Tensor) -> bool:
@@ -409,7 +370,7 @@ def fused_rgcn_messages(
     """R-GCN layer messages ``segsum(Σ_b (x[h] V_b^T) · a[r, b], tails)``.
 
     Replaces, per basis, a transpose node, an ``(E, d)`` matmul, the
-    three-node ``_column`` coefficient selection, an ``(E, d)`` product
+    three-node coefficient-column selection, an ``(E, d)`` product
     and an ``(E, d)`` running-sum node — ``5B + 1`` tape nodes collapse
     into one.  ``basis_weights`` are the ``(d, d)`` basis matrices
     ``V_b``; ``basis_coeffs`` the ``(R, B)`` relation coefficients.
@@ -434,8 +395,8 @@ def fused_rgcn_messages(
 
     itemsize = hidden.data.dtype.itemsize
     # source + coeff gather, then per basis: transpose view, matmul
-    # output, the _column chain (flat, (E*B, 1) view, (E, 1) column),
-    # the gated term, and B-1 running-sum nodes.
+    # output, the coefficient-column chain (flat, (E*B, 1) view, (E, 1)
+    # column), the gated term, and B-1 running-sum nodes.
     saved = (num_edges * dim + num_edges * num_bases
              + num_bases * (dim * dim + num_edges * dim
                             + 2 * num_edges * num_bases + num_edges

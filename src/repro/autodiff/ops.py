@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..telemetry import tracer as _tracer
-from .fused import fused_segment_softmax, fusion_enabled
+from .fused import fused_segment_softmax
 from .tensor import Tensor, scatter_add_rows
 
 
@@ -135,20 +135,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def segment_softmax(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Softmax normalized within each segment (e.g. edges per node).
 
-    Dispatches to the single-node fused kernel unless fusion is off
-    (``REPRO_FUSED=0``); the composition below is the reference
-    implementation the fused op is verified against (bitwise).
+    One fused tape node (:func:`~repro.autodiff.fused.fused_segment_softmax`);
+    empty segments carry no mass and no gradient.
     """
-    if fusion_enabled():
-        return fused_segment_softmax(x, segment_ids, num_segments)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    # Stabilize per segment.
-    seg_max = np.full((num_segments,) + x.data.shape[1:], -np.inf, dtype=x.data.dtype)
-    np.maximum.at(seg_max, segment_ids, x.data)
-    shifted = x - Tensor(seg_max[segment_ids])
-    exp = shifted.exp()
-    denom = segment_sum(exp, segment_ids, num_segments)
-    return exp / gather_rows(denom, segment_ids)
+    return fused_segment_softmax(x, segment_ids, num_segments)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:

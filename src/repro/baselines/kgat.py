@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..autodiff import (Embedding, Linear, Tensor, concat,
-                        fused_gather_mul_segment_sum, fusion_enabled,
-                        gather_rows, log_sigmoid, segment_sum)
+                        fused_gather_mul_segment_sum, gather_rows,
+                        log_sigmoid)
 from ..data import Split
 from .base import BaselineConfig, BPRModelRecommender
 
@@ -78,14 +78,9 @@ class KGAT(BPRModelRecommender):
         hidden = self.node_embedding.weight
         outputs: List[Tensor] = [hidden]
         for layer in range(self.num_layers):
-            if fusion_enabled():
-                neighborhood = fused_gather_mul_segment_sum(
-                    hidden, self.ckg.heads, self.ckg.tails,
-                    self.ckg.num_nodes, y=attention)
-            else:
-                source = gather_rows(hidden, self.ckg.heads)
-                neighborhood = segment_sum(source * attention, self.ckg.tails,
-                                           self.ckg.num_nodes)
+            neighborhood = fused_gather_mul_segment_sum(
+                hidden, self.ckg.heads, self.ckg.tails,
+                self.ckg.num_nodes, y=attention)
             summed = _leaky_relu(self.w_sum[layer](hidden + neighborhood))
             gated = _leaky_relu(self.w_prod[layer](hidden * neighborhood))
             hidden = summed + gated

@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..autodiff import (Embedding, Parameter, Tensor,
-                        fused_gather_mul_segment_sum, fusion_enabled,
-                        gather_rows, softmax, segment_sum)
+                        fused_gather_mul_segment_sum, gather_rows, softmax)
 from ..data import Split
 from .base import BaselineConfig, BPRModelRecommender
 
@@ -100,27 +99,16 @@ class KGIN(BPRModelRecommender):
         user_norm = Tensor(self._user_norm.reshape(-1, 1))
         for _ in range(self.num_layers):
             current = entity_layers[-1]
-            if fusion_enabled():
-                # users aggregate their interacted items, gated by intents
-                user_agg = fused_gather_mul_segment_sum(
-                    current, self._ui_item_entities, self._ui_users,
-                    num_users) * user_norm
-                user_layers.append(user_agg * user_gate)
-                # entities aggregate relation-gated neighbors
-                entity_layers.append(fused_gather_mul_segment_sum(
-                    current, self._kg_tails, self._kg_heads, num_entities,
-                    y=self.relation_embedding.weight,
-                    y_indices=self._kg_rels) * norm)
-            else:
-                item_states = gather_rows(current, self._ui_item_entities)
-                user_agg = segment_sum(item_states, self._ui_users,
-                                       num_users) * user_norm
-                user_layers.append(user_agg * user_gate)
-                messages = (gather_rows(current, self._kg_tails)
-                            * gather_rows(self.relation_embedding.weight,
-                                          self._kg_rels))
-                entity_layers.append(segment_sum(messages, self._kg_heads,
-                                                 num_entities) * norm)
+            # users aggregate their interacted items, gated by intents
+            user_agg = fused_gather_mul_segment_sum(
+                current, self._ui_item_entities, self._ui_users,
+                num_users) * user_norm
+            user_layers.append(user_agg * user_gate)
+            # entities aggregate relation-gated neighbors
+            entity_layers.append(fused_gather_mul_segment_sum(
+                current, self._kg_tails, self._kg_heads, num_entities,
+                y=self.relation_embedding.weight,
+                y_indices=self._kg_rels) * norm)
 
         user_final = user_layers[0]
         for layer in user_layers[1:]:

@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..autodiff import (Embedding, Linear, Parameter, Tensor,
-                        fused_rgcn_messages, fusion_enabled, gather_rows,
-                        segment_sum)
+                        fused_rgcn_messages, gather_rows)
 from ..data import Split
 from .base import BaselineConfig, BPRModelRecommender
 
@@ -69,22 +68,11 @@ class RGCN(BPRModelRecommender):
         hidden = self.node_embedding.weight
         norm = Tensor(self._norm.reshape(-1, 1))
         for layer in range(self.num_layers):
-            if fusion_enabled():
-                aggregated = fused_rgcn_messages(
-                    hidden, self.ckg.heads, self.ckg.relations,
-                    self.ckg.tails, self.ckg.num_nodes,
-                    [basis.weight for basis in self.bases[layer]],
-                    self.basis_coeffs[layer]) * norm
-            else:
-                source = gather_rows(hidden, self.ckg.heads)   # (E, d)
-                coeffs = gather_rows(self.basis_coeffs[layer],
-                                     self.ckg.relations)
-                messages = None
-                for basis_index, basis in enumerate(self.bases[layer]):
-                    term = basis(source) * _column(coeffs, basis_index)
-                    messages = term if messages is None else messages + term
-                aggregated = segment_sum(messages, self.ckg.tails,
-                                         self.ckg.num_nodes) * norm
+            aggregated = fused_rgcn_messages(
+                hidden, self.ckg.heads, self.ckg.relations,
+                self.ckg.tails, self.ckg.num_nodes,
+                [basis.weight for basis in self.bases[layer]],
+                self.basis_coeffs[layer]) * norm
             hidden = (aggregated + self.self_loops[layer](hidden)).relu()
         return hidden
 
@@ -99,11 +87,3 @@ class RGCN(BPRModelRecommender):
         user_matrix = hidden[np.asarray(users)]
         item_matrix = hidden[self.ckg.item_nodes]
         return user_matrix @ item_matrix.T
-
-
-def _column(x: Tensor, index: int) -> Tensor:
-    """Differentiable selection of one column as an (N, 1) tensor."""
-    num_rows, num_cols = x.shape
-    flat = x.reshape(num_rows * num_cols)
-    rows = np.arange(num_rows) * num_cols + index
-    return gather_rows(flat.reshape(num_rows * num_cols, 1), rows)

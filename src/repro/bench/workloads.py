@@ -153,17 +153,20 @@ def _build_segment_sum(num_nodes: int, num_edges: int, dim: int):
     return run
 
 
-def _build_attention_layer(num_nodes: int, num_edges: int, dim: int,
-                           fused: bool):
-    """Shared factory for the fused/reference attention-layer pair.
+@register("autodiff.attention_layer.fused",
+          "one full KUCNet propagation layer, forward+backward (Eq. 5-6), "
+          "single fused tape node for the gather→attend→message→aggregate "
+          "chain",
+          quick={"num_nodes": 2_000, "num_edges": 20_000, "dim": 32},
+          full={"num_nodes": 5_000, "num_edges": 100_000, "dim": 48})
+def _build_attention_layer(num_nodes: int, num_edges: int, dim: int):
+    """One layer on pinned inputs.
 
-    Both arms run the identical layer on identical inputs; the only
-    difference is :func:`~repro.autodiff.force_fusion`.  The
-    ``autodiff.tape_bytes`` histogram recorded by each arm is the
-    strict gate: the fused arm must tape far fewer bytes because the
-    super-op keeps no per-edge intermediates on the graph.
+    The super-op keeps no per-edge intermediates on the graph, and the
+    ``autodiff.tape_bytes`` max this workload records gates strictly
+    against the committed baseline.
     """
-    from ..autodiff import Tensor, force_fusion
+    from ..autodiff import Tensor
     from ..core.layers import AttentionMessagePassing
     from ..sampling import LayerEdges
 
@@ -176,38 +179,11 @@ def _build_attention_layer(num_nodes: int, num_edges: int, dim: int,
                        heads=src, tails=dst)
 
     def run():
-        with force_fusion(fused):
-            layer.zero_grad()
-            out, _ = layer(hidden, edges, num_nodes)
-            (out * out).sum().backward()
+        layer.zero_grad()
+        out, _ = layer(hidden, edges, num_nodes)
+        (out * out).sum().backward()
 
     return run
-
-
-@register("autodiff.attention_layer.fused",
-          "one full KUCNet propagation layer, forward+backward (Eq. 5-6), "
-          "single fused tape node for the gather→attend→message→aggregate "
-          "chain",
-          quick={"num_nodes": 2_000, "num_edges": 20_000, "dim": 32,
-                 "fused": True},
-          full={"num_nodes": 5_000, "num_edges": 100_000, "dim": 48,
-                "fused": True})
-def _build_attention_layer_fused(num_nodes: int, num_edges: int, dim: int,
-                                 fused: bool):
-    return _build_attention_layer(num_nodes, num_edges, dim, fused)
-
-
-@register("autodiff.attention_layer.reference",
-          "the same layer through the unfused op-by-op composition "
-          "(REPRO_FUSED=0 path); tape_bytes vs the fused arm is the "
-          "memory win",
-          quick={"num_nodes": 2_000, "num_edges": 20_000, "dim": 32,
-                 "fused": False},
-          full={"num_nodes": 5_000, "num_edges": 100_000, "dim": 48,
-                "fused": False})
-def _build_attention_layer_reference(num_nodes: int, num_edges: int, dim: int,
-                                     fused: bool):
-    return _build_attention_layer(num_nodes, num_edges, dim, fused)
 
 
 # ----------------------------------------------------------------------

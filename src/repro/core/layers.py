@@ -23,8 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..autodiff import (Dropout, Embedding, Linear, Module, Parameter,
-                        Tensor, fused_attention_messages, fusion_enabled,
-                        gather_rows, segment_sum)
+                        Tensor, fused_attention_messages)
 from ..autodiff import init as ad_init
 from ..sampling import LayerEdges
 
@@ -101,37 +100,17 @@ class AttentionMessagePassing(Module):
             zero = Tensor(np.zeros((num_dst, self.dim)))
             return zero, (np.empty(0) if collect_attention else None)
 
-        if fusion_enabled():
-            aggregated, attention_values = fused_attention_messages(
-                hidden_prev, edges.src_pos, edges.relations, edges.dst_pos,
-                num_dst,
-                relation_weight=self.relation_embedding.weight,
-                message_weight=self.message_transform.weight,
-                attn_source_weight=self.attn_source.weight,
-                attn_relation_weight=self.attn_relation.weight,
-                attn_bias=self.attn_bias,
-                attn_vector=self.attn_vector,
-                use_attention=self.use_attention,
-                collect_attention=collect_attention)
-        else:
-            # Reference composition (REPRO_FUSED=0); the fused kernel is
-            # verified bitwise-identical to this path.
-            h_src = gather_rows(hidden_prev, edges.src_pos)
-            h_rel = self.relation_embedding(edges.relations)
-
-            if self.use_attention:
-                attn_hidden = (self.attn_source(h_src) + self.attn_relation(h_rel)
-                               + self.attn_bias).relu()
-                alpha = (attn_hidden @ self.attn_vector).sigmoid()
-                messages = self.message_transform(h_src + h_rel) * alpha.reshape(-1, 1)
-                attention_values = alpha.data.copy() if collect_attention else None
-            else:
-                messages = self.message_transform(h_src + h_rel)
-                attention_values = (np.ones(edges.num_edges)
-                                    if collect_attention else None)
-
-            aggregated = segment_sum(messages, edges.dst_pos, num_dst)
-
+        aggregated, attention_values = fused_attention_messages(
+            hidden_prev, edges.src_pos, edges.relations, edges.dst_pos,
+            num_dst,
+            relation_weight=self.relation_embedding.weight,
+            message_weight=self.message_transform.weight,
+            attn_source_weight=self.attn_source.weight,
+            attn_relation_weight=self.attn_relation.weight,
+            attn_bias=self.attn_bias,
+            attn_vector=self.attn_vector,
+            use_attention=self.use_attention,
+            collect_attention=collect_attention)
         activated = self._activate(aggregated)
         return self.dropout(activated), attention_values
 

@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..autodiff import (Adam, Embedding, Linear, Module, Parameter, Tensor,
-                        fused_gather_mul_segment_sum, fusion_enabled,
-                        gather_rows, log_sigmoid, segment_sum)
+from ..autodiff import (Adam, Embedding, Linear, Module, Tensor,
+                        fused_gather_mul_segment_sum, gather_rows,
+                        log_sigmoid)
 from ..engine import Engine, EpochStats, History, TelemetryHook
 from ..graph import KnowledgeGraph
 from .trainer import RankingResult
@@ -67,22 +67,14 @@ class CompGCN(Module):
         relations = self.relation_embedding.weight
         norm = Tensor(self._norm.reshape(-1, 1))
         for layer in range(self.num_layers):
-            if fusion_enabled():
-                # One fused node for gather→compose→aggregate, then the
-                # (bias-free, hence linear) transform applied to the
-                # (N, d) sums instead of the (E, d) edge messages —
-                # mathematically identical, far fewer edge-level flops.
-                pooled = fused_gather_mul_segment_sum(
-                    entities, self._heads, self._tails,
-                    self.kg.num_entities, y=relations,
-                    y_indices=self._rels)
-                aggregated = self.entity_transforms[layer](pooled) * norm
-            else:
-                source = gather_rows(entities, self._heads)
-                edge_rel = gather_rows(relations, self._rels)
-                messages = self.entity_transforms[layer](source * edge_rel)
-                aggregated = segment_sum(messages, self._tails,
-                                         self.kg.num_entities) * norm
+            # One fused node for gather→compose→aggregate, then the
+            # (bias-free, hence linear) transform applied to the (N, d)
+            # sums instead of the (E, d) edge messages: equal to the
+            # per-edge transform up to rounding, far fewer edge flops.
+            pooled = fused_gather_mul_segment_sum(
+                entities, self._heads, self._tails,
+                self.kg.num_entities, y=relations, y_indices=self._rels)
+            aggregated = self.entity_transforms[layer](pooled) * norm
             entities = aggregated.tanh()
             relations = self.relation_transforms[layer](relations)
         return entities, relations
@@ -148,15 +140,9 @@ class NBFNet(Module):
         dst = batch_offsets + np.tile(self._tails, batch)
         rels = np.tile(self._rels, batch)
         for layer in range(self.num_layers):
-            if fusion_enabled():
-                aggregated = fused_gather_mul_segment_sum(
-                    state, src, dst, batch * num_entities,
-                    y=self.relation_embeddings[layer].weight,
-                    y_indices=rels)
-            else:
-                messages = (gather_rows(state, src)
-                            * self.relation_embeddings[layer](rels))
-                aggregated = segment_sum(messages, dst, batch * num_entities)
+            aggregated = fused_gather_mul_segment_sum(
+                state, src, dst, batch * num_entities,
+                y=self.relation_embeddings[layer].weight, y_indices=rels)
             state = (aggregated + boundary_t).tanh()
         return state
 

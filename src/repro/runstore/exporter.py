@@ -31,6 +31,12 @@ is.  Everything is daemon-threaded stdlib ``http.server`` — no new
 dependencies, and with no exporter started the only cost to the hot
 path is one module-global ``is None`` check per published snapshot
 (<2% on any workload; effectively zero).
+
+One request costs bounded work: a POST body above
+:data:`MAX_BODY_BYTES` is refused with 413 before any of it is read, a
+malformed ``Content-Length`` gets 400, and a client that stalls for
+:data:`REQUEST_TIMEOUT_SECONDS` (say, a body shorter than its declared
+length) gets 408 instead of holding its handler thread forever.
 """
 
 from __future__ import annotations
@@ -46,12 +52,19 @@ from typing import Any, Deque, Dict, Optional, Tuple
 
 from ..telemetry import MetricsRegistry, get_registry
 
-__all__ = ["ENV_METRICS_PORT", "MetricsExporter", "render_prometheus",
+__all__ = ["ENV_METRICS_PORT", "MAX_BODY_BYTES", "REQUEST_TIMEOUT_SECONDS",
+           "MetricsExporter", "render_prometheus",
            "validate_prometheus_text", "start_exporter", "stop_exporter",
            "active_exporter", "publish_snapshot"]
 
 #: environment variable that auto-starts the exporter in CLI commands
 ENV_METRICS_PORT = "REPRO_METRICS_PORT"
+
+#: largest POST body a handler reads; a longer declared length gets 413
+MAX_BODY_BYTES = 1 << 20
+
+#: seconds a handler waits on a silent client socket (read at ``start``)
+REQUEST_TIMEOUT_SECONDS = 10.0
 
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -282,6 +295,8 @@ class MetricsExporter:
         exporter = self
 
         class _Handler(BaseHTTPRequestHandler):
+            timeout = REQUEST_TIMEOUT_SECONDS
+
             def _reply(self, result: Optional[Tuple[int, str, bytes]]):
                 if result is None:
                     result = (404, "text/plain", b"not found\n")
@@ -295,9 +310,34 @@ class MetricsExporter:
             def do_GET(self):  # noqa: N802 — http.server API
                 self._reply(exporter._handle_get(self.path.split("?", 1)[0]))
 
+            def _refuse(self, status: int, message: str) -> None:
+                # The body may be unread, so the connection cannot
+                # carry another request.
+                self.close_connection = True
+                body = json.dumps({"error": message}) + "\n"
+                self._reply((status, "application/json",
+                             body.encode("utf-8")))
+
             def do_POST(self):  # noqa: N802 — http.server API
-                length = int(self.headers.get("Content-Length") or 0)
-                payload = self.rfile.read(length) if length > 0 else b""
+                declared = (self.headers.get("Content-Length") or "0").strip()
+                if not (declared.isascii() and declared.isdigit()):
+                    return self._refuse(
+                        400, f"invalid Content-Length {declared!r}")
+                length = int(declared)
+                if length > MAX_BODY_BYTES:
+                    return self._refuse(
+                        413, f"body of {length} bytes exceeds the "
+                             f"{MAX_BODY_BYTES}-byte limit")
+                try:
+                    payload = self.rfile.read(length)
+                except TimeoutError:
+                    return self._refuse(
+                        408, f"body not received within "
+                             f"{self.timeout:g} s")
+                if len(payload) < length:
+                    return self._refuse(
+                        400, f"body ended after {len(payload)} of "
+                             f"{length} bytes")
                 self._reply(exporter._handle_post(
                     self.path.split("?", 1)[0], payload))
 

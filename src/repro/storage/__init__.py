@@ -11,8 +11,8 @@ past what fits in memory.
 from __future__ import annotations
 
 from ..ppr.push import SparsePPRScores
-from .sharded import (DEFAULT_MAX_OPEN, MANIFEST_NAME, OPEN_SHARDS_ENV_VAR,
-                      ShardedPPRScores, ShardWriter, incremental_push_sharded)
+from .sharded import (DEFAULT_MAX_OPEN, MANIFEST_NAME, ShardedPPRScores,
+                      ShardWriter, incremental_push_sharded)
 from .store import (STORE_BACKENDS, STORE_ENV_VAR, ScoreStore, resolve_store,
                     resolve_store_dir)
 
@@ -24,5 +24,5 @@ __all__ = [
     "ScoreStore", "ShardWriter", "ShardedPPRScores",
     "incremental_push_sharded", "resolve_store", "resolve_store_dir",
     "STORE_ENV_VAR", "STORE_BACKENDS", "MANIFEST_NAME",
-    "DEFAULT_MAX_OPEN", "OPEN_SHARDS_ENV_VAR",
+    "DEFAULT_MAX_OPEN",
 ]

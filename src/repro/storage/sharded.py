@@ -42,7 +42,7 @@ from ..ppr.push import (IncrementalPushResult, SparsePPRScores,
 from .store import ScoreStore
 
 __all__ = ["ShardWriter", "ShardedPPRScores", "incremental_push_sharded",
-           "MANIFEST_NAME", "DEFAULT_MAX_OPEN", "OPEN_SHARDS_ENV_VAR"]
+           "MANIFEST_NAME", "DEFAULT_MAX_OPEN"]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-ppr-shards"
@@ -50,18 +50,9 @@ MANIFEST_FORMAT_VERSION = 1
 
 #: LRU bound on simultaneously open (mmap'd) shards
 DEFAULT_MAX_OPEN = 8
-OPEN_SHARDS_ENV_VAR = "REPRO_PPR_OPEN_SHARDS"
 
 _CSR_PARTS = ("indptr", "node_ids", "values")
 _RES_PARTS = ("res_indptr", "res_node_ids", "res_values")
-
-
-def _default_max_open() -> int:
-    value = os.environ.get(OPEN_SHARDS_ENV_VAR, "")
-    try:
-        return max(1, int(value)) if value else DEFAULT_MAX_OPEN
-    except ValueError:
-        return DEFAULT_MAX_OPEN
 
 
 def _atomic_json(path: str, payload: dict) -> None:
@@ -231,7 +222,7 @@ class ShardedPPRScores(ScoreStore):
 
     def __init__(self, directory: str, max_open: Optional[int] = None):
         self.directory = directory
-        self.max_open = _default_max_open() if max_open is None \
+        self.max_open = DEFAULT_MAX_OPEN if max_open is None \
             else max(1, int(max_open))
         self._load_manifest()
 

@@ -1,27 +1,25 @@
 """Tests for the fused message-passing super-ops (``repro.autodiff.fused``).
 
-The fused kernels must be *bitwise* interchangeable with the unfused
+The fused kernels must be *bitwise* interchangeable with the op-by-op
 reference compositions on the KUCNet hot path (the golden-loss fixtures
-pin per-epoch losses exactly, and CI runs the suite under both
-``REPRO_FUSED`` settings), so parity here is asserted with the strict
-``check_gradients_match`` defaults (atol=0, rtol=1e-6) and, for the
-attention layer, exact equality.
+pin per-epoch losses exactly), so parity here is asserted against the
+oracles of ``tests/reference_ops.py`` and inline compositions with zero
+tolerance.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro import telemetry as tm
 from repro.autodiff import (Tensor, check_gradients, check_gradients_match,
-                            force_fusion, fused_attention_messages,
                             fused_gather_mul_segment_sum, fused_rgcn_messages,
-                            fused_segment_softmax, fusion_enabled,
-                            gather_rows, segment_softmax, segment_sum)
-from repro.autodiff import fused as fused_mod
+                            fused_segment_softmax, gather_rows,
+                            segment_softmax, segment_sum)
 from repro.core.layers import AttentionMessagePassing
 from repro.sampling import LayerEdges
+
+from .reference_ops import (reference_attention_layer,
+                            reference_segment_softmax)
 
 
 def _layer_inputs(num_src=12, num_dst=9, num_edges=40, dim=6, seed=0):
@@ -43,36 +41,9 @@ def _make_layer(dim=6, use_attention=True, activation="relu", seed=3):
                                    rng=np.random.default_rng(seed))
 
 
-class TestFusionToggle:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED", raising=False)
-        assert fusion_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", " OFF "])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_FUSED", value)
-        assert not fusion_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
-    def test_env_keeps_enabled(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_FUSED", value)
-        assert fusion_enabled()
-
-    def test_force_fusion_overrides_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        assert not fusion_enabled()
-        with force_fusion(True):
-            assert fusion_enabled()
-            with force_fusion(False):
-                assert not fusion_enabled()
-            assert fusion_enabled()
-        assert not fusion_enabled()
-
-    def test_force_fusion_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with force_fusion(False):
-                raise RuntimeError("boom")
-        assert fused_mod._FORCED is None
+#: the production layer call (always fused) and its op-by-op oracle
+_FUSED = AttentionMessagePassing.__call__
+_FORWARDS = (_FUSED, reference_attention_layer)
 
 
 class TestAttentionLayerParity:
@@ -86,49 +57,44 @@ class TestAttentionLayerParity:
                             activation=activation)
         params = [hidden] + list(layer.parameters())
 
-        def run(fused):
+        def run(forward):
             def fn():
-                with force_fusion(fused):
-                    out, _ = layer(hidden, edges, num_dst)
+                out, _ = forward(layer, hidden, edges, num_dst)
                 return (out * out).sum()
             return fn
 
-        check_gradients_match(run(True), run(False), params,
-                              atol=0.0, rtol=0.0)
+        check_gradients_match(run(_FUSED), run(reference_attention_layer),
+                              params, atol=0.0, rtol=0.0)
 
     def test_attention_values_match(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
-        with force_fusion(True):
-            _, fused_alpha = layer(hidden, edges, num_dst,
-                                   collect_attention=True)
-        with force_fusion(False):
-            _, ref_alpha = layer(hidden, edges, num_dst,
-                                 collect_attention=True)
+        _, fused_alpha = layer(hidden, edges, num_dst,
+                               collect_attention=True)
+        _, ref_alpha = reference_attention_layer(layer, hidden, edges,
+                                                 num_dst,
+                                                 collect_attention=True)
         assert np.array_equal(fused_alpha, ref_alpha)
 
     def test_attention_none_unless_collected(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
-        for fused in (True, False):
-            with force_fusion(fused):
-                _, alpha = layer(hidden, edges, num_dst)
+        for forward in _FORWARDS:
+            _, alpha = forward(layer, hidden, edges, num_dst)
             assert alpha is None
 
     def test_no_attention_collects_ones(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer(use_attention=False)
-        with force_fusion(True):
-            _, alpha = layer(hidden, edges, num_dst, collect_attention=True)
+        _, alpha = layer(hidden, edges, num_dst, collect_attention=True)
         assert np.all(alpha == 1.0)
 
     def test_zero_edges(self):
         layer = _make_layer(dim=4)
         empty = LayerEdges(*(np.empty(0, dtype=np.int64) for _ in range(5)))
-        for fused in (True, False):
-            with force_fusion(fused):
-                out, alpha = layer(Tensor(np.zeros((2, 4))), empty, 3,
-                                   collect_attention=True)
+        for forward in _FORWARDS:
+            out, alpha = forward(layer, Tensor(np.zeros((2, 4))), empty, 3,
+                                 collect_attention=True)
             assert out.shape == (3, 4)
             assert np.all(out.data == 0.0)
             assert alpha.shape == (0,)
@@ -140,8 +106,7 @@ class TestAttentionLayerParity:
         params = [hidden] + list(layer.parameters())
 
         def fn():
-            with force_fusion(True):
-                out, _ = layer(hidden, edges, num_dst)
+            out, _ = layer(hidden, edges, num_dst)
             return (out.tanh() * out).sum()
 
         assert check_gradients(fn, params, atol=1e-5, rtol=1e-3)
@@ -149,8 +114,7 @@ class TestAttentionLayerParity:
     def test_fused_produces_single_graph_node(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer(activation="identity")
-        with force_fusion(True):
-            out, _ = layer(hidden, edges, num_dst)
+        out, _ = layer(hidden, edges, num_dst)
         # identity activation + no dropout: the layer output IS the
         # fused node, parented directly on inputs and parameters.
         assert hidden in out._parents
@@ -164,18 +128,15 @@ class TestFusedSegmentSoftmax:
         seg = np.sort(rng.integers(0, 4, size=14))   # segments 4,5 empty
         check_gradients_match(
             lambda: (fused_segment_softmax(x, seg, 6) * Tensor(np.arange(14.0))).sum(),
-            lambda: (_reference_segment_softmax(x, seg, 6) * Tensor(np.arange(14.0))).sum(),
+            lambda: (reference_segment_softmax(x, seg, 6) * Tensor(np.arange(14.0))).sum(),
             [x], atol=0.0, rtol=0.0)
-
-    def test_dispatch_through_public_op(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(10, 3)), requires_grad=True)
-        seg = np.sort(rng.integers(0, 5, size=10))
-        with force_fusion(True):
-            fused = segment_softmax(x, seg, 5)
-        with force_fusion(False):
-            ref = segment_softmax(x, seg, 5)
-        assert np.array_equal(fused.data, ref.data)
+        # the public op on a 2-D input: one softmax per column
+        x2 = Tensor(rng.normal(size=(14, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(14, 3)))
+        check_gradients_match(
+            lambda: (segment_softmax(x2, seg, 6) * weights).sum(),
+            lambda: (reference_segment_softmax(x2, seg, 6) * weights).sum(),
+            [x2], atol=0.0, rtol=0.0)
 
     def test_mass_sums_to_one_per_nonempty_segment(self):
         rng = np.random.default_rng(3)
@@ -186,16 +147,6 @@ class TestFusedSegmentSoftmax:
         for segment in range(8):
             if (seg == segment).any():
                 assert mass[segment] == pytest.approx(1.0)
-
-
-def _reference_segment_softmax(x, segment_ids, num_segments):
-    seg_max = np.full((num_segments,) + x.data.shape[1:], -np.inf,
-                      dtype=x.data.dtype)
-    np.maximum.at(seg_max, segment_ids, x.data)
-    shifted = x - Tensor(seg_max[segment_ids])
-    exp = shifted.exp()
-    denom = segment_sum(exp, segment_ids, num_segments)
-    return exp / gather_rows(denom, segment_ids)
 
 
 class TestFusedGatherMulSegmentSum:
@@ -288,8 +239,7 @@ class TestFusionTelemetry:
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
         with tm.enabled(True):
-            with force_fusion(True):
-                layer(hidden, edges, num_dst)
+            layer(hidden, edges, num_dst)
         registry = tm.get_registry()
         assert registry.counters["autodiff.fused_calls"].total == 1
         assert registry.counters["autodiff.fused_saved_bytes"].total > 0
@@ -299,8 +249,7 @@ class TestFusionTelemetry:
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
         with tm.enabled(True):
-            with force_fusion(False):
-                layer(hidden, edges, num_dst)
+            reference_attention_layer(layer, hidden, edges, num_dst)
         assert "autodiff.fused_calls" not in tm.get_registry().counters
 
     def test_tape_bytes_shrink(self):
@@ -308,32 +257,15 @@ class TestFusionTelemetry:
         hidden, edges, num_dst = _layer_inputs(num_src=60, num_dst=40,
                                                num_edges=400, dim=8)
         layer = _make_layer(dim=8)
-        peaks = {}
-        for fused in (True, False):
+        peaks = []
+        for forward in _FORWARDS:
             tm.reset()
-            with tm.enabled(True), force_fusion(fused):
+            with tm.enabled(True):
                 layer.zero_grad()
                 hidden.zero_grad()
-                out, _ = layer(hidden, edges, num_dst)
+                out, _ = forward(layer, hidden, edges, num_dst)
                 (out * out).sum().backward()
-                peaks[fused] = tm.get_registry().histograms[
-                    "autodiff.tape_bytes"].maximum
-        assert peaks[True] <= 0.6 * peaks[False]
-
-
-class TestSubprocessEnvGate:
-    def test_repro_fused_0_selects_reference(self):
-        """REPRO_FUSED=0 must reach the reference composition end to end."""
-        import subprocess
-        import sys
-        code = (
-            "from repro.autodiff import fusion_enabled;"
-            "assert not fusion_enabled()"
-        )
-        env = dict(os.environ, REPRO_FUSED="0",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, ["src", os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                cwd=os.path.dirname(os.path.dirname(
-                                    os.path.abspath(__file__))))
-        assert result.returncode == 0
+                peaks.append(tm.get_registry().histograms[
+                    "autodiff.tape_bytes"].maximum)
+        fused_peak, reference_peak = peaks
+        assert fused_peak <= 0.6 * reference_peak

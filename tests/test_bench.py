@@ -41,8 +41,7 @@ def quick_report():
 class TestRegistry:
     def test_expected_workloads_registered(self):
         expected = {"autodiff.gather_rows", "autodiff.segment_sum",
-                    "autodiff.attention_layer.fused",
-                    "autodiff.attention_layer.reference", "graph.build",
+                    "autodiff.attention_layer.fused", "graph.build",
                     "ppr.power", "ppr.push", "train.epoch", "eval.rank"}
         assert expected <= set(bench.WORKLOADS)
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.autodiff import Tensor, check_gradients_match
 from repro.graph import KnowledgeGraph
 from repro.linkpred import (CompGCN, GNNLinkPredConfig, GNNLinkPredictor,
                             NBFNet, split_triplets)
+
+from .reference_ops import reference_compgcn_encode
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,32 @@ class TestCompGCN:
         model = CompGCN(kg, dim=8, rng=np.random.default_rng(0))
         shapes = [p.shape for p in model.parameters()]
         assert (kg.num_entities, 8) in shapes  # has an entity table
+
+    def test_encode_matches_per_edge_composition(self, kg):
+        """The fused encoder transforms each node's pooled messages, not
+        every edge message; by linearity the two agree up to rounding."""
+        model = CompGCN(kg, dim=8, num_layers=2,
+                        rng=np.random.default_rng(0))
+        fused = model.encode()
+        reference = reference_compgcn_encode(model)
+        for got, want in zip(fused, reference):
+            np.testing.assert_allclose(got.data, want.data,
+                                       rtol=1e-10, atol=0.0)
+
+        rng = np.random.default_rng(1)
+        entity_weights = Tensor(rng.normal(size=fused[0].shape))
+        relation_weights = Tensor(rng.normal(size=fused[1].shape))
+
+        def loss(encode):
+            def fn():
+                entities, relations = encode()
+                return ((entities * entity_weights).sum()
+                        + (relations * relation_weights).sum())
+            return fn
+
+        check_gradients_match(loss(model.encode),
+                              loss(lambda: reference_compgcn_encode(model)),
+                              model.parameters(), atol=0.0, rtol=1e-10)
 
 
 class TestNBFNet:

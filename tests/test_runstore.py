@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import socket
 import threading
 import types
 import urllib.error
@@ -18,6 +19,7 @@ from repro.engine import Engine
 from repro.runstore import (MetricsExporter, RunRecorderHook, RunStore,
                             render_prometheus, robust_z_scores,
                             validate_prometheus_text)
+from repro.runstore import exporter as exporter_module
 
 
 @pytest.fixture(autouse=True)
@@ -407,6 +409,63 @@ class TestExporter:
             assert exporter._snapshot_thread.daemon
         finally:
             exporter.stop()
+
+
+def _raw_post(port, headers, body=b""):
+    """Send a hand-written POST; returns the raw reply bytes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(b"POST /interactions HTTP/1.1\r\nHost: localhost\r\n"
+                     + headers + b"\r\n" + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestExporterRequestBounds:
+    """A POST's Content-Length cannot make a handler fail, allocate or
+    wait without bound."""
+
+    @pytest.fixture
+    def port(self, monkeypatch):
+        monkeypatch.setattr(exporter_module, "REQUEST_TIMEOUT_SECONDS", 0.2)
+        exporter = MetricsExporter(port=0, registry=tm.MetricsRegistry(),
+                                   snapshot_interval=0.0)
+        yield exporter.start()
+        exporter.stop()
+
+    @staticmethod
+    def _status(reply):
+        assert reply.startswith(b"HTTP/"), f"no HTTP reply: {reply[:80]!r}"
+        return int(reply.split(b" ", 2)[1])
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3"])
+    def test_malformed_length_is_400(self, port, length):
+        reply = _raw_post(port, b"Content-Length: " + length + b"\r\n")
+        assert self._status(reply) == 400
+        assert b"invalid Content-Length" in reply
+
+    def test_oversized_length_is_413_without_reading(self, port):
+        reply = _raw_post(port, b"Content-Length: 99999999999\r\n")
+        assert self._status(reply) == 413
+        # just over the cap is refused too; the handler reads nothing
+        length = str(exporter_module.MAX_BODY_BYTES + 1).encode()
+        assert self._status(_raw_post(
+            port, b"Content-Length: " + length + b"\r\n")) == 413
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
+                                    timeout=5) as reply:
+            assert reply.status == 200
+
+    def test_short_body_times_out_with_408(self, port):
+        # The socket stays open with 5 of 50 declared bytes sent.
+        reply = _raw_post(port, b"Content-Length: 50\r\n", b"{\"a\":")
+        assert self._status(reply) == 408
+
+    def test_body_within_bounds_reaches_the_router(self, port):
+        reply = _raw_post(port, b"Content-Length: 2\r\n", b"{}")
+        assert self._status(reply) == 404  # the base exporter has no POSTs
 
 
 class TestRunsCLI:

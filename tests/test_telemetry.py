@@ -440,18 +440,13 @@ class TestPipelineIntegration:
                      "eval.score", "eval.rank"):
             assert snap["spans"][name]["count"] > 0, name
             assert snap["spans"][name]["total_seconds"] > 0, name
-        # When fused (the default) the propagation hot path records
-        # autodiff.fused_* instead of per-op segment_sum counters
-        # (gather_rows still fires on the readout/scoring path); under
-        # REPRO_FUSED=0 the op-by-op counters come back.
-        from repro.autodiff import fusion_enabled
+        # The propagation hot path records autodiff.fused_* instead of
+        # per-op segment_sum counters (gather_rows still fires on the
+        # readout/scoring path).
         expected = ["ppr.edges_kept", "ppr.edges_pruned", "ppr.sweeps",
-                    "autodiff.gather_rows",
+                    "autodiff.gather_rows", "autodiff.fused_calls",
+                    "autodiff.fused_saved_bytes",
                     "graph.builds", "train.pairs", "eval.users"]
-        if fusion_enabled():
-            expected += ["autodiff.fused_calls", "autodiff.fused_saved_bytes"]
-        else:
-            expected += ["autodiff.segment_sum"]
         for name in expected:
             assert snap["counters"][name]["total"] > 0, name
         assert snap["histograms"]["autodiff.tape_nodes"]["count"] > 0

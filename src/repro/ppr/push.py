@@ -40,7 +40,7 @@ of recomputing every user from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +52,10 @@ DEFAULT_TOP_M = 256
 #: safety cap on vectorized frontier sweeps per user; the residual-mass
 #: argument guarantees termination long before this in practice.
 MAX_SWEEPS = 10_000
+
+#: the score CSR and the residual CSR, as field names (and shard files)
+CSR_FIELDS = ("indptr", "node_ids", "values")
+RES_FIELDS = ("res_indptr", "res_node_ids", "res_values")
 
 
 @dataclass
@@ -82,6 +86,9 @@ class SparsePPRScores:
     alpha / epsilon:
         Solver parameters recorded alongside kept residuals so
         maintenance continues with the exact same contract.
+
+    The arrays may be memory maps: :class:`~repro.storage.ShardedPPRScores`
+    opens each of its shards as one of these structures.
     """
 
     users: np.ndarray
@@ -95,7 +102,7 @@ class SparsePPRScores:
     res_values: Optional[np.ndarray] = None
     alpha: Optional[float] = None
     epsilon: Optional[float] = None
-    _keys: np.ndarray = field(init=False, repr=False)
+    _keys: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.users = np.asarray(self.users, dtype=np.int64)
@@ -112,12 +119,6 @@ class SparsePPRScores:
             self.res_node_ids = np.asarray(self.res_node_ids, dtype=np.int64)
             self.res_values = np.asarray(self.res_values, dtype=np.float32)
         self._row_of = {int(u): k for k, u in enumerate(self.users.tolist())}
-        # Composite keys row * num_nodes + node are globally sorted
-        # (rows ascend; node_ids ascend within each row), so lookups are
-        # a single searchsorted over all rows at once.
-        row_index = np.repeat(np.arange(self.users.size, dtype=np.int64),
-                              np.diff(self.indptr))
-        self._keys = row_index * np.int64(self.num_nodes) + self.node_ids
 
     # ------------------------------------------------------------------
     @property
@@ -146,18 +147,20 @@ class SparsePPRScores:
     def has_user(self, user: int) -> bool:
         return int(user) in self._row_of
 
+    def _row(self, user: int) -> int:
+        row = self._row_of.get(int(user))
+        if row is None:
+            raise KeyError(f"no PPR scores computed for user {user}")
+        return row
+
     def residual_for_user(self, user: int) -> np.ndarray:
         """Densified residual vector for ``user`` (requires kept residuals)."""
         if not self.has_residuals:
             raise ValueError(
                 "scores were computed without keep_residuals=True")
-        row = self._row_of.get(int(user))
-        if row is None:
-            raise KeyError(f"no PPR scores computed for user {user}")
-        dense = np.zeros(self.num_nodes, dtype=np.float32)
-        lo, hi = self.res_indptr[row], self.res_indptr[row + 1]
-        dense[self.res_node_ids[lo:hi]] = self.res_values[lo:hi]
-        return dense
+        row = self._row(user)
+        return _to_dense(self.res_indptr[row:row + 2], self.res_node_ids,
+                         self.res_values, self.num_nodes, np.float32)[0]
 
     # ------------------------------------------------------------------
     def lookup(self, slots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -170,28 +173,23 @@ class SparsePPRScores:
         ``IndexError`` naming the offender rather than silently reading
         a clamped position.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if slots.size != nodes.size:
-            raise ValueError(
-                f"slots and nodes must align element-wise, got "
-                f"{slots.size} slots and {nodes.size} nodes")
-        if slots.size:
-            bad_slots = (slots < 0) | (slots >= self.num_rows)
-            if bad_slots.any():
-                offender = int(slots[bad_slots][0])
-                raise IndexError(
-                    f"slot {offender} out of range for "
-                    f"{self.num_rows} score rows")
-            bad_nodes = (nodes < 0) | (nodes >= self.num_nodes)
-            if bad_nodes.any():
-                offender = int(nodes[bad_nodes][0])
-                raise IndexError(
-                    f"node {offender} out of range for "
-                    f"num_nodes={self.num_nodes}")
+        slots, nodes = check_lookup(slots, nodes, self.num_rows,
+                                    self.num_nodes)
+        return self.gather(slots, nodes)
+
+    def gather(self, slots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`lookup` for int64 queries already known to be in range."""
         out = np.zeros(slots.size, dtype=np.float32)
-        if self._keys.size == 0 or slots.size == 0:
+        if self.nnz == 0 or slots.size == 0:
             return out
+        if self._keys is None:
+            # Composite keys row * num_nodes + node are globally sorted
+            # (rows ascend; node_ids ascend within each row), so lookups
+            # are a single searchsorted over all rows at once.  Built on
+            # first use: a shard opened only for row reads never pays.
+            rows = np.repeat(np.arange(self.num_rows, dtype=np.int64),
+                             np.diff(self.indptr))
+            self._keys = rows * np.int64(self.num_nodes) + self.node_ids
         wanted = slots * np.int64(self.num_nodes) + nodes
         positions = np.searchsorted(self._keys, wanted)
         positions = np.minimum(positions, self._keys.size - 1)
@@ -213,20 +211,14 @@ class SparsePPRScores:
 
     def for_user(self, user: int) -> np.ndarray:
         """Densified score vector over all nodes for ``user``."""
-        row = self._row_of.get(int(user))
-        if row is None:
-            raise KeyError(f"no PPR scores computed for user {user}")
-        dense = np.zeros(self.num_nodes, dtype=np.float32)
-        lo, hi = self.indptr[row], self.indptr[row + 1]
-        dense[self.node_ids[lo:hi]] = self.values[lo:hi]
-        return dense
+        row = self._row(user)
+        return _to_dense(self.indptr[row:row + 2], self.node_ids,
+                         self.values, self.num_nodes, np.float32)[0]
 
     def toarray(self) -> np.ndarray:
         """Full dense ``(num_rows, num_nodes)`` float32 matrix."""
-        dense = np.zeros((self.num_rows, self.num_nodes), dtype=np.float32)
-        row_index = np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
-        dense[row_index, self.node_ids] = self.values
-        return dense
+        return _to_dense(self.indptr, self.node_ids, self.values,
+                         self.num_nodes, np.float32)
 
     def select(self, users: Sequence[int]) -> "SparsePPRScores":
         """Row subset for ``users`` (cheap CSR slice; rows realign to input).
@@ -269,6 +261,42 @@ class SparsePPRScores:
         """
         degrees = np.maximum(np.asarray(degrees, dtype=np.float64), 1.0)
         self.values /= degrees[self.node_ids].astype(np.float32)
+
+    # ------------------------------------------------------------------
+    # Maintenance protocol, shared with ShardedPPRScores
+    # ------------------------------------------------------------------
+    def parts(self, chunk_users: int) -> Iterator["SparsePPRScores"]:
+        """The rows in ranges of ``chunk_users``, as structures over views.
+
+        Each part carries this structure's solver parameters and, when
+        kept, its residual rows; :func:`incremental_push` maintains one
+        part at a time.
+        """
+        groups = [CSR_FIELDS] + ([RES_FIELDS] if self.has_residuals else [])
+        for start in range(0, self.num_rows, chunk_users):
+            stop = min(start + chunk_users, self.num_rows)
+            arrays = {}
+            for indptr, node_ids, values in groups:
+                offsets = getattr(self, indptr)[start:stop + 1]
+                lo, hi = offsets[0], offsets[-1]
+                arrays[indptr] = offsets - lo
+                arrays[node_ids] = getattr(self, node_ids)[lo:hi]
+                arrays[values] = getattr(self, values)[lo:hi]
+            yield SparsePPRScores(
+                users=self.users[start:stop], num_nodes=self.num_nodes,
+                alpha=self.alpha, epsilon=self.epsilon, **arrays)
+
+    def rewrite(self, parts: Iterable[Tuple["SparsePPRScores", bool]]
+                ) -> "SparsePPRScores":
+        """A new structure stacking maintained ``(part, moved)`` pairs.
+
+        The in-RAM counterpart of
+        :meth:`~repro.storage.ShardedPPRScores.rewrite`.  Every part is
+        copied, moved or not, so the result never shares an array with
+        this structure (whose values :meth:`normalize_by_degree` divides
+        in place).
+        """
+        return concat_sparse_scores(part for part, _ in parts)
 
     # ------------------------------------------------------------------
     def save(self, path: str) -> str:
@@ -320,6 +348,81 @@ class SparsePPRScores:
 
 def _npz_path(path: str) -> str:
     return path if path.endswith(".npz") else path + ".npz"
+
+
+def check_lookup(slots: np.ndarray, nodes: np.ndarray, num_rows: int,
+                 num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``lookup`` queries as int64 arrays, or the error naming an offender."""
+    slots = np.asarray(slots, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if slots.size != nodes.size:
+        raise ValueError(
+            f"slots and nodes must align element-wise, got "
+            f"{slots.size} slots and {nodes.size} nodes")
+    bad_slots = (slots < 0) | (slots >= num_rows)
+    if bad_slots.any():
+        raise IndexError(
+            f"slot {int(slots[bad_slots][0])} out of range for "
+            f"{num_rows} score rows")
+    bad_nodes = (nodes < 0) | (nodes >= num_nodes)
+    if bad_nodes.any():
+        raise IndexError(
+            f"node {int(nodes[bad_nodes][0])} out of range for "
+            f"num_nodes={num_nodes}")
+    return slots, nodes
+
+
+def _to_csr(dense: np.ndarray, top_m: Optional[int] = None
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, node_ids, values)`` of a dense ``(rows, nodes)`` block.
+
+    Keeps every non-zero, node ids ascending within a row and values as
+    float32.  With ``top_m``, a row holding more entries keeps only its
+    ``top_m`` largest, as chosen by ``np.argpartition``.
+    """
+    num_rows, num_nodes = dense.shape
+    flat_dense = dense.reshape(-1)
+    # one 1-D nonzero over the block: faster than a 2-D one or per row
+    flat = np.flatnonzero(flat_dense)
+    row_starts = np.arange(num_rows + 1) * num_nodes
+    indptr = np.searchsorted(flat, row_starts)
+    counts = np.diff(indptr)
+    if top_m is not None and counts.max(initial=0) > top_m:
+        keep = np.ones(flat.size, dtype=bool)
+        for row in np.flatnonzero(counts > top_m).tolist():
+            lo, hi = indptr[row], indptr[row + 1]
+            top = np.argpartition(-flat_dense[flat[lo:hi]], top_m - 1)
+            keep[lo:hi] = False
+            keep[lo + top[:top_m]] = True
+        flat = flat[keep]
+        indptr = np.searchsorted(flat, row_starts)
+    return indptr, flat % num_nodes, flat_dense[flat].astype(np.float32)
+
+
+def _to_dense(indptr: np.ndarray, node_ids: np.ndarray, values: np.ndarray,
+              num_nodes: int, dtype=np.float64) -> np.ndarray:
+    """Dense ``(rows, num_nodes)`` block of CSR rows (inverse of
+    :func:`_to_csr`).  ``indptr`` may be a row range of longer arrays."""
+    lo, hi = indptr[0], indptr[-1]
+    num_rows = indptr.size - 1
+    row_starts = np.repeat(np.arange(num_rows) * num_nodes, np.diff(indptr))
+    dense = np.zeros(num_rows * num_nodes, dtype=dtype)
+    dense[row_starts + node_ids[lo:hi]] = values[lo:hi]
+    return dense.reshape(num_rows, num_nodes)
+
+
+def _encode_chunk(users: np.ndarray, estimate: np.ndarray,
+                  residual: Optional[np.ndarray], mass: float, alpha: float,
+                  epsilon: float, top_m: Optional[int] = None
+                  ) -> SparsePPRScores:
+    """One solved dense chunk as a structure; ``mass`` is its residual
+    total, and ``residual=None`` drops the residual rows."""
+    arrays = dict(zip(CSR_FIELDS, _to_csr(estimate, top_m)))
+    if residual is not None:
+        arrays.update(zip(RES_FIELDS, _to_csr(residual)))
+    return SparsePPRScores(users=users, num_nodes=estimate.shape[1],
+                           residual=mass, alpha=alpha, epsilon=epsilon,
+                           **arrays)
 
 
 # ----------------------------------------------------------------------
@@ -437,15 +540,8 @@ def forward_push_batch(ckg: CollaborativeKG, users: Sequence[int],
     # their restart share once (threshold 0) and never reactivate.
     thresholds = epsilon * degrees.astype(np.float64)
 
-    chunks_nodes = []
-    chunks_values = []
-    lengths = np.empty(user_array.size, dtype=np.int64)
-    res_chunks_nodes = []
-    res_chunks_values = []
-    res_lengths = np.empty(user_array.size, dtype=np.int64)
+    parts = []
     total_pushes = 0
-    total_residual = 0.0
-
     with telemetry.span("ppr.forward_push"):
         for start in range(0, user_array.size, chunk_users):
             chunk = user_array[start:start + chunk_users]
@@ -455,44 +551,15 @@ def forward_push_batch(ckg: CollaborativeKG, users: Sequence[int],
             residual[np.arange(batch), chunk] = 1.0
             total_pushes += _sweep_chunk(ckg, estimate, residual, thresholds,
                                          degrees, inv_degrees, alpha)
-            total_residual += float(residual.sum())
-
-            for row in range(batch):
-                kept = np.flatnonzero(estimate[row])
-                if not keep_residuals and kept.size > top_m:
-                    top = np.argpartition(-estimate[row, kept], top_m - 1)[:top_m]
-                    kept = np.sort(kept[top])
-                chunks_nodes.append(kept)
-                chunks_values.append(estimate[row, kept].astype(np.float32))
-                lengths[start + row] = kept.size
-                if keep_residuals:
-                    res_kept = np.flatnonzero(residual[row])
-                    res_chunks_nodes.append(res_kept)
-                    res_chunks_values.append(
-                        residual[row, res_kept].astype(np.float32))
-                    res_lengths[start + row] = res_kept.size
-
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    res_arrays = {}
-    if keep_residuals:
-        res_arrays = dict(
-            res_indptr=np.concatenate([[0], np.cumsum(res_lengths)]),
-            res_node_ids=(np.concatenate(res_chunks_nodes)
-                          if res_chunks_nodes else np.empty(0, dtype=np.int64)),
-            res_values=(np.concatenate(res_chunks_values)
-                        if res_chunks_values
-                        else np.empty(0, dtype=np.float32)))
-    scores = SparsePPRScores(
-        users=user_array, num_nodes=num_nodes, indptr=indptr,
-        node_ids=(np.concatenate(chunks_nodes) if chunks_nodes
-                  else np.empty(0, dtype=np.int64)),
-        values=(np.concatenate(chunks_values) if chunks_values
-                else np.empty(0, dtype=np.float32)),
-        residual=total_residual, alpha=alpha, epsilon=epsilon, **res_arrays)
+            parts.append(_encode_chunk(
+                chunk, estimate, residual if keep_residuals else None,
+                float(residual.sum()), alpha, epsilon,
+                top_m=None if keep_residuals else top_m))
+    scores = concat_sparse_scores(parts)
 
     telemetry.counter("ppr.push_ops", total_pushes)
     telemetry.counter("ppr.users", user_array.size)
-    telemetry.gauge("ppr.residual_mass", total_residual)
+    telemetry.gauge("ppr.residual_mass", scores.residual)
     telemetry.gauge("ppr.score_bytes", scores.nbytes)
     return scores
 
@@ -558,8 +625,9 @@ class IncrementalPushResult:
         The updated graph (new :class:`CollaborativeKG`; the input graph
         is never mutated).
     scores:
-        Fresh :class:`SparsePPRScores` (with residuals kept) valid for
-        ``ckg``; the input scores are never mutated.
+        Fresh scores of the input's type (with residuals kept) valid for
+        ``ckg``; the input scores are never mutated, and the result
+        shares no array with them.
     changed_users:
         User ids whose estimate rows differ from the input — the set a
         serving cache must invalidate.
@@ -612,9 +680,9 @@ def _apply_delta_chunk(new_ckg: CollaborativeKG, estimate: np.ndarray,
                        ) -> Tuple[int, np.ndarray]:
     """Apply the per-edge corrections to one dense chunk, then re-sweep.
 
-    The chunk kernel shared by the in-RAM and sharded incremental paths
-    — identical float operations in identical order, so both backends
-    produce bitwise-identical updated rows.  Mutates ``estimate`` /
+    Each row's float operations are independent of the other rows in
+    the chunk, so any chunking (RAM row ranges, shards) produces
+    bitwise-identical updated rows.  Mutates ``estimate`` /
     ``residual`` in place; returns ``(sweep_ops, touched)`` where
     ``touched`` flags the chunk rows whose state moved.
     """
@@ -686,13 +754,14 @@ def incremental_push(ckg: CollaborativeKG, scores,
     chunk_users:
         Score rows densified simultaneously (bounds temporary memory).
         Ignored for sharded scores, whose shards are the chunks.
+
+    Either store is maintained by the same loop over
+    ``scores.parts(chunk_users)``: each part is densified, corrected and
+    re-swept; the parts whose rows moved are re-encoded and the rest are
+    carried.  ``scores.rewrite`` then stacks the parts (in RAM) or
+    writes only the moved ones as new shard files (sharded), so the
+    input store is never mutated and the result shares no array with it.
     """
-    # Sharded stores maintain themselves shard-by-shard with targeted
-    # invalidation; the import is lazy to keep storage -> push one-way.
-    from ..storage.sharded import (ShardedPPRScores,
-                                   incremental_push_sharded)
-    if isinstance(scores, ShardedPPRScores):
-        return incremental_push_sharded(ckg, scores, new_interactions)
     if not scores.has_residuals:
         raise ValueError(
             "incremental_push requires scores computed with "
@@ -717,76 +786,44 @@ def incremental_push(ckg: CollaborativeKG, scores,
         new_degrees = np.diff(new_ckg.indptr)
         inv_degrees = (1.0 - alpha) / np.maximum(new_degrees, 1)
         thresholds = epsilon * new_degrees.astype(np.float64)
+        sweep_ops = []
+        changed = []
 
-        chunks_nodes = []
-        chunks_values = []
-        lengths = np.empty(scores.num_rows, dtype=np.int64)
-        res_chunks_nodes = []
-        res_chunks_values = []
-        res_lengths = np.empty(scores.num_rows, dtype=np.int64)
-        changed = np.zeros(scores.num_rows, dtype=bool)
-        sweep_ops = 0
-        total_residual = 0.0
+        def maintained():
+            # A generator, so a sharded store writes each part as it
+            # arrives and holds one shard in memory at a time.
+            for part in scores.parts(chunk_users):
+                estimate = _to_dense(part.indptr, part.node_ids,
+                                     part.values, num_nodes)
+                residual = _to_dense(part.res_indptr, part.res_node_ids,
+                                     part.res_values, num_nodes)
+                ops, touched = _apply_delta_chunk(
+                    new_ckg, estimate, residual, ins_heads, ins_tails,
+                    deg_at, alpha, thresholds, new_degrees, inv_degrees)
+                sweep_ops.append(ops)
+                changed.append(part.users[touched])
+                mass = float(np.abs(residual).sum())
+                if touched.any():
+                    yield _encode_chunk(part.users, estimate, residual,
+                                        mass, alpha, epsilon), True
+                else:
+                    part.residual = mass
+                    yield part, False
 
-        for start in range(0, scores.num_rows, chunk_users):
-            stop = min(start + chunk_users, scores.num_rows)
-            batch = stop - start
-            estimate = np.zeros((batch, num_nodes))
-            residual = np.zeros((batch, num_nodes))
-            for local, row in enumerate(range(start, stop)):
-                lo, hi = scores.indptr[row], scores.indptr[row + 1]
-                estimate[local, scores.node_ids[lo:hi]] = scores.values[lo:hi]
-                lo, hi = scores.res_indptr[row], scores.res_indptr[row + 1]
-                residual[local, scores.res_node_ids[lo:hi]] = \
-                    scores.res_values[lo:hi]
-
-            ops, touched = _apply_delta_chunk(
-                new_ckg, estimate, residual, ins_heads, ins_tails, deg_at,
-                alpha, thresholds, new_degrees, inv_degrees)
-            sweep_ops += ops
-            total_residual += float(np.abs(residual).sum())
-            changed[start:stop] = touched
-
-            for local, row in enumerate(range(start, stop)):
-                kept = np.flatnonzero(estimate[local])
-                chunks_nodes.append(kept)
-                chunks_values.append(estimate[local, kept].astype(np.float32))
-                lengths[row] = kept.size
-                res_kept = np.flatnonzero(residual[local])
-                res_chunks_nodes.append(res_kept)
-                res_chunks_values.append(
-                    residual[local, res_kept].astype(np.float32))
-                res_lengths[row] = res_kept.size
-
-        new_scores = SparsePPRScores(
-            users=scores.users.copy(), num_nodes=num_nodes,
-            indptr=np.concatenate([[0], np.cumsum(lengths)]),
-            node_ids=(np.concatenate(chunks_nodes) if chunks_nodes
-                      else np.empty(0, dtype=np.int64)),
-            values=(np.concatenate(chunks_values) if chunks_values
-                    else np.empty(0, dtype=np.float32)),
-            residual=total_residual,
-            res_indptr=np.concatenate([[0], np.cumsum(res_lengths)]),
-            res_node_ids=(np.concatenate(res_chunks_nodes)
-                          if res_chunks_nodes
-                          else np.empty(0, dtype=np.int64)),
-            res_values=(np.concatenate(res_chunks_values)
-                        if res_chunks_values
-                        else np.empty(0, dtype=np.float32)),
-            alpha=alpha, epsilon=epsilon)
+        new_scores = scores.rewrite(maintained())
 
         # One op per applied per-edge adjustment, plus the resumed sweeps;
         # recorded under both counters so `bench compare` can gate the
         # incremental arm's share of the total push work.
-        push_ops = sweep_ops + int(ins_heads.size)
+        push_ops = sum(sweep_ops) + int(ins_heads.size)
         telemetry.counter("ppr.push_ops", push_ops)
         telemetry.counter("ppr.incremental_pushes", push_ops)
-        telemetry.gauge("ppr.residual_mass", total_residual)
+        telemetry.gauge("ppr.residual_mass", new_scores.residual)
         telemetry.gauge("ppr.score_bytes", new_scores.nbytes)
 
     return IncrementalPushResult(
         ckg=new_ckg, scores=new_scores,
-        changed_users=scores.users[changed].copy(), push_ops=push_ops)
+        changed_users=np.concatenate(changed), push_ops=push_ops)
 
 
 def sparsify_scores(scores: np.ndarray, users: Sequence[int],
@@ -806,30 +843,13 @@ def sparsify_scores(scores: np.ndarray, users: Sequence[int],
     user_array = np.asarray(list(users), dtype=np.int64)
     if user_array.size != scores.shape[0]:
         raise ValueError("one users entry per score row required")
-
-    chunks_nodes = []
-    chunks_values = []
-    lengths = np.empty(user_array.size, dtype=np.int64)
-    for row in range(user_array.size):
-        kept = np.flatnonzero(scores[row])
-        if kept.size > top_m:
-            top = np.argpartition(-scores[row, kept], top_m - 1)[:top_m]
-            kept = np.sort(kept[top])
-        chunks_nodes.append(kept)
-        chunks_values.append(scores[row, kept].astype(np.float32))
-        lengths[row] = kept.size
-
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    return SparsePPRScores(
-        users=user_array, num_nodes=scores.shape[1], indptr=indptr,
-        node_ids=(np.concatenate(chunks_nodes) if chunks_nodes
-                  else np.empty(0, dtype=np.int64)),
-        values=(np.concatenate(chunks_values) if chunks_values
-                else np.empty(0, dtype=np.float32)),
-        residual=residual)
+    indptr, node_ids, values = _to_csr(scores, top_m)
+    return SparsePPRScores(users=user_array, num_nodes=scores.shape[1],
+                           indptr=indptr, node_ids=node_ids, values=values,
+                           residual=residual)
 
 
-def concat_sparse_scores(parts: Sequence[SparsePPRScores]) -> SparsePPRScores:
+def concat_sparse_scores(parts: Iterable[SparsePPRScores]) -> SparsePPRScores:
     """Stack per-chunk score structures row-wise, in the given order.
 
     The inverse of chunking a user population for fan-out: feeding the
@@ -837,37 +857,36 @@ def concat_sparse_scores(parts: Sequence[SparsePPRScores]) -> SparsePPRScores:
     chunk order yields arrays bitwise-identical to a single serial call
     over the whole population (the solver processes chunks
     independently, so the concatenated CSR arrays — and the residual
-    accumulated in the same float order — coincide exactly).
+    accumulated in the same float order — coincide exactly).  The
+    solver parameters come from the first part; residual rows are kept
+    when every part has them.  The result is always a copy, even of a
+    single part.
     """
     parts = list(parts)
     if not parts:
         raise ValueError("parts must be non-empty")
-    if len(parts) == 1:
-        return parts[0]
     num_nodes = parts[0].num_nodes
     if any(part.num_nodes != num_nodes for part in parts):
         raise ValueError("parts disagree on num_nodes")
     residual = 0.0
     for part in parts:
         residual += part.residual
-    lengths = np.concatenate([np.diff(part.indptr) for part in parts])
-    res_arrays = {}
+    groups = [CSR_FIELDS]
     if all(part.has_residuals for part in parts):
-        res_lengths = np.concatenate(
-            [np.diff(part.res_indptr) for part in parts])
-        res_arrays = dict(
-            res_indptr=np.concatenate([[0], np.cumsum(res_lengths)]),
-            res_node_ids=np.concatenate(
-                [part.res_node_ids for part in parts]),
-            res_values=np.concatenate([part.res_values for part in parts]),
-            alpha=parts[0].alpha, epsilon=parts[0].epsilon)
+        groups.append(RES_FIELDS)
+    arrays = {}
+    for indptr, node_ids, values in groups:
+        lengths = np.concatenate([np.diff(getattr(part, indptr))
+                                  for part in parts])
+        arrays[indptr] = np.concatenate([[0], np.cumsum(lengths)])
+        arrays[node_ids] = np.concatenate([getattr(part, node_ids)
+                                           for part in parts])
+        arrays[values] = np.concatenate([getattr(part, values)
+                                         for part in parts])
     return SparsePPRScores(
         users=np.concatenate([part.users for part in parts]),
-        num_nodes=num_nodes,
-        indptr=np.concatenate([[0], np.cumsum(lengths)]),
-        node_ids=np.concatenate([part.node_ids for part in parts]),
-        values=np.concatenate([part.values for part in parts]),
-        residual=residual, **res_arrays)
+        num_nodes=num_nodes, residual=residual, alpha=parts[0].alpha,
+        epsilon=parts[0].epsilon, **arrays)
 
 
 #: either PPR score backend, as accepted by the computation-graph pruner

@@ -198,7 +198,7 @@ def build_user_centric_graph(
                     if sampler == "ppr":
                         # Dense ndarrays index directly; every other
                         # backend (in-RAM CSR, mmap'd shards) serves the
-                        # gather through the ScoreStore lookup contract.
+                        # gather through their shared ``lookup``.
                         if isinstance(ppr_scores, np.ndarray):
                             scores = ppr_scores[edge_slots, tails]
                         else:

@@ -16,7 +16,9 @@ handling — and adds the serving endpoints:
   service's :meth:`~repro.serve.RecommendationService.stats`
 
 Malformed requests come back as ``400 {"error": ...}`` rather than a
-stack trace; the CI serve-smoke job drives all four endpoints.
+stack trace; user ids, item ids and ``k`` must be JSON integers (a float,
+infinity or boolean is refused, not truncated).  The CI serve-smoke job
+drives all four endpoints.
 """
 
 from __future__ import annotations
@@ -73,14 +75,15 @@ class RecommendationServer(MetricsExporter):
         users = body.get("users")
         if not isinstance(users, list) or not users:
             raise ValueError("'users' must be a non-empty list of user ids")
+        users = [_json_int(user, "user id") for user in users]
         k = body.get("k")
-        rankings = self.service.recommend(
-            [int(user) for user in users],
-            k=None if k is None else int(k))
+        if k is not None:
+            k = _json_int(k, "'k'")
+        rankings = self.service.recommend(users, k=k)
         return {
-            "results": {str(int(user)): ranking.tolist()
+            "results": {str(user): ranking.tolist()
                         for user, ranking in zip(users, rankings)},
-            "k": (self.service.config.top_k if k is None else int(k)),
+            "k": self.service.config.top_k if k is None else k,
         }
 
     def _interactions(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -93,5 +96,13 @@ class RecommendationServer(MetricsExporter):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(
                     f"each pair must be [user, item], got {pair!r}")
-            cleaned.append((int(pair[0]), int(pair[1])))
+            cleaned.append((_json_int(pair[0], "user id"),
+                            _json_int(pair[1], "item id")))
         return self.service.add_interactions(cleaned)
+
+
+def _json_int(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer, else ``ValueError`` (a 400)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value

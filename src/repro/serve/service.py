@@ -182,25 +182,26 @@ class RecommendationService:
                 raise ValueError(
                     f"user(s) {sorted(set(bad))} out of range for "
                     f"{self.ckg.num_users} users")
-            hits = 0
+            # this request's rankings, kept apart from the cache, which
+            # may evict some of them when the request outnumbers it
+            rankings = {}
             misses = []
             for user in dict.fromkeys(user_list):
                 if user in self._cache:
                     self._cache.move_to_end(user)
-                    hits += 1
+                    rankings[user] = self._cache[user]
                 else:
                     misses.append(user)
-            if hits:
-                telemetry.counter("serve.cache_hits", hits)
+            if rankings:
+                telemetry.counter("serve.cache_hits", len(rankings))
             if misses:
                 telemetry.counter("serve.cache_misses", len(misses))
                 for user, ranking in zip(misses, self._score_batch(misses)):
-                    self._cache[user] = ranking
-                    self._cache.move_to_end(user)
+                    self._cache[user] = rankings[user] = ranking
                 while len(self._cache) > self.config.cache_entries:
                     self._cache.popitem(last=False)
             telemetry.gauge("serve.cache_entries", len(self._cache))
-            return [self._cache[user][:k].copy() for user in user_list]
+            return [rankings[user][:k].copy() for user in user_list]
 
     def _score_batch(self, users: List[int]) -> List[np.ndarray]:
         """One pruned-subgraph model pass ranking ``users``' items."""

@@ -10,19 +10,12 @@ past what fits in memory.
 
 from __future__ import annotations
 
-from ..ppr.push import SparsePPRScores
 from .sharded import (DEFAULT_MAX_OPEN, MANIFEST_NAME, ShardedPPRScores,
-                      ShardWriter, incremental_push_sharded)
-from .store import (STORE_BACKENDS, STORE_ENV_VAR, ScoreStore, resolve_store,
+                      ShardWriter)
+from .store import (STORE_BACKENDS, STORE_ENV_VAR, resolve_store,
                     resolve_store_dir)
 
-# The in-RAM structure predates the ABC; register it virtually so
-# ``isinstance(scores, ScoreStore)`` covers both backends.
-ScoreStore.register(SparsePPRScores)
-
 __all__ = [
-    "ScoreStore", "ShardWriter", "ShardedPPRScores",
-    "incremental_push_sharded", "resolve_store", "resolve_store_dir",
-    "STORE_ENV_VAR", "STORE_BACKENDS", "MANIFEST_NAME",
-    "DEFAULT_MAX_OPEN",
+    "ShardWriter", "ShardedPPRScores", "resolve_store", "resolve_store_dir",
+    "STORE_ENV_VAR", "STORE_BACKENDS", "MANIFEST_NAME", "DEFAULT_MAX_OPEN",
 ]

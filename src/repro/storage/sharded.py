@@ -10,17 +10,18 @@ same logical structure but splits it into **per-chunk shards on disk**:
   a set of raw ``.npy`` files — CSR ``indptr`` / ``node_ids`` /
   ``values`` plus the residual CSR when the solve kept residuals —
   described by a single ``manifest.json``.
-* :class:`ShardedPPRScores` serves the :class:`~repro.storage.ScoreStore`
-  read interface straight off ``np.load(..., mmap_mode="r")`` handles,
-  keeping at most ``max_open`` shards open in an LRU
-  (``storage.shard_hits`` / ``storage.shard_misses`` telemetry).  Reads
-  are **bitwise-identical** to the in-RAM backend: the shard files hold
-  the exact float32/int64 arrays the RAM structure would.
-* :func:`incremental_push_sharded` maintains the store after new
-  interactions with *targeted shard invalidation*: shards whose rows the
-  delta never touched are reused by reference in the next manifest
-  version (``storage.shards_reused``); touched shards are rewritten
-  (``storage.shards_rewritten``).
+* :class:`ShardedPPRScores` opens each shard as a
+  :class:`SparsePPRScores` over ``np.load(..., mmap_mode="r")`` arrays
+  and delegates reads to it, keeping at most ``max_open`` shards open
+  in an LRU (``storage.shard_hits`` / ``storage.shard_misses``
+  telemetry).  Reads are **bitwise-identical** to the in-RAM backend:
+  the shard files hold the exact float32/int64 arrays the RAM structure
+  would.
+* :meth:`ShardedPPRScores.rewrite` is where
+  :func:`~repro.ppr.incremental_push` and degree normalization end:
+  shards whose rows moved are written under the next manifest version
+  (``storage.shards_rewritten``); the rest are carried by reference
+  (``storage.shards_reused``).
 
 Pickling a :class:`ShardedPPRScores` ships only the directory path and
 settings — a spawn-started worker reopens the shards by path instead of
@@ -32,17 +33,15 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
-from ..ppr.push import (IncrementalPushResult, SparsePPRScores,
-                        _apply_delta_chunk, _delta_edges)
-from .store import ScoreStore
+from ..ppr.push import CSR_FIELDS, RES_FIELDS, SparsePPRScores, check_lookup
 
-__all__ = ["ShardWriter", "ShardedPPRScores", "incremental_push_sharded",
-           "MANIFEST_NAME", "DEFAULT_MAX_OPEN"]
+__all__ = ["ShardWriter", "ShardedPPRScores", "MANIFEST_NAME",
+           "DEFAULT_MAX_OPEN"]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-ppr-shards"
@@ -50,9 +49,6 @@ MANIFEST_FORMAT_VERSION = 1
 
 #: LRU bound on simultaneously open (mmap'd) shards
 DEFAULT_MAX_OPEN = 8
-
-_CSR_PARTS = ("indptr", "node_ids", "values")
-_RES_PARTS = ("res_indptr", "res_node_ids", "res_values")
 
 
 def _atomic_json(path: str, payload: dict) -> None:
@@ -62,11 +58,23 @@ def _atomic_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _shard_files(index: int, version: int,
-                 with_residuals: bool) -> Dict[str, str]:
+def _write_shard(directory: str, index: int, version: int,
+                 part: SparsePPRScores, row_start: int) -> dict:
+    """Save ``part`` as shard ``index`` at ``version``; return its entry."""
     prefix = f"shard_{index:05d}_v{version}"
-    parts = _CSR_PARTS + (_RES_PARTS if with_residuals else ())
-    return {part: f"{prefix}.{part}.npy" for part in parts}
+    names = CSR_FIELDS + (RES_FIELDS if part.has_residuals else ())
+    files: Dict[str, str] = {name: f"{prefix}.{name}.npy" for name in names}
+    for name, filename in files.items():
+        np.save(os.path.join(directory, filename), getattr(part, name))
+    return {
+        "row_start": int(row_start),
+        "row_stop": int(row_start + part.num_rows),
+        "nnz": int(part.nnz),
+        "res_nnz": (int(part.res_node_ids.size) if part.has_residuals
+                    else None),
+        "residual": float(part.residual),
+        "files": files,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -111,30 +119,9 @@ class ShardWriter:
             raise ValueError(
                 "chunk residual layout disagrees with the writer "
                 f"(keep_residuals={self.keep_residuals})")
-        index = len(self._entries)
         row_start = sum(len(users) for users in self._user_chunks)
-        files = _shard_files(index, 0, self.keep_residuals)
-        np.save(os.path.join(self.directory, files["indptr"]), part.indptr)
-        np.save(os.path.join(self.directory, files["node_ids"]),
-                part.node_ids)
-        np.save(os.path.join(self.directory, files["values"]), part.values)
-        entry = {
-            "row_start": int(row_start),
-            "row_stop": int(row_start + part.num_rows),
-            "nnz": int(part.nnz),
-            "res_nnz": None,
-            "residual": float(part.residual),
-            "files": files,
-        }
-        if self.keep_residuals:
-            np.save(os.path.join(self.directory, files["res_indptr"]),
-                    part.res_indptr)
-            np.save(os.path.join(self.directory, files["res_node_ids"]),
-                    part.res_node_ids)
-            np.save(os.path.join(self.directory, files["res_values"]),
-                    part.res_values)
-            entry["res_nnz"] = int(part.res_node_ids.size)
-        self._entries.append(entry)
+        self._entries.append(_write_shard(
+            self.directory, len(self._entries), 0, part, row_start))
         self._user_chunks.append(np.asarray(part.users, dtype=np.int64))
         self._residual += float(part.residual)
         telemetry.counter("storage.shards_written")
@@ -173,49 +160,21 @@ class ShardWriter:
 # Reader
 # ----------------------------------------------------------------------
 
-class _ShardHandle:
-    """One open shard: small indptr in RAM, data arrays memory-mapped."""
-
-    __slots__ = ("indptr", "node_ids", "values", "res_indptr",
-                 "res_node_ids", "res_values", "keys")
-
-    def __init__(self, directory: str, entry: dict, has_residuals: bool):
-        files = entry["files"]
-        path = lambda part: os.path.join(directory, files[part])  # noqa: E731
-        self.indptr = np.load(path("indptr"))
-        self.node_ids = np.load(path("node_ids"), mmap_mode="r")
-        self.values = np.load(path("values"), mmap_mode="r")
-        if has_residuals:
-            self.res_indptr = np.load(path("res_indptr"))
-            self.res_node_ids = np.load(path("res_node_ids"), mmap_mode="r")
-            self.res_values = np.load(path("res_values"), mmap_mode="r")
-        else:
-            self.res_indptr = self.res_node_ids = self.res_values = None
-        #: composite lookup keys, computed lazily on first lookup —
-        #: RAM usage is bounded by the LRU (evicted with the handle)
-        self.keys: Optional[np.ndarray] = None
-
-    def lookup_keys(self, num_nodes: int) -> np.ndarray:
-        if self.keys is None:
-            rows = np.repeat(
-                np.arange(self.indptr.size - 1, dtype=np.int64),
-                np.diff(self.indptr))
-            self.keys = rows * np.int64(num_nodes) + self.node_ids[:]
-        return self.keys
-
-
-class ShardedPPRScores(ScoreStore):
+class ShardedPPRScores:
     """Mmap-backed PPR scores over the shard layout of :class:`ShardWriter`.
 
     The logical structure (row ``k`` = user ``users[k]``'s sorted CSR
     entries) is identical to :class:`~repro.ppr.SparsePPRScores`; only
-    the residency differs.  ``lookup`` / ``select`` / ``dense_columns``
-    / ``for_user`` return bitwise-identical values.  ``select`` realizes
-    the requested rows as an in-RAM :class:`SparsePPRScores`, so every
-    downstream consumer (pruner, model, server) is untouched.
+    the residency differs.  Each shard opens as a
+    :class:`SparsePPRScores` over its memory-mapped files (``indptr``
+    arrays in RAM), and ``lookup`` / ``for_user`` /
+    ``residual_for_user`` delegate to it, so they return
+    bitwise-identical values.  ``select`` realizes the requested rows as
+    an in-RAM :class:`SparsePPRScores`, so every downstream consumer
+    (pruner, model, server) is untouched.
 
     At most ``max_open`` shards are open at once; access beyond the
-    bound evicts the least-recently-used handle
+    bound evicts the least-recently-used one
     (``storage.shard_hits`` / ``storage.shard_misses`` counters,
     ``storage.open_shards`` gauge).
     """
@@ -248,7 +207,7 @@ class ShardedPPRScores(ScoreStore):
             [entry["row_start"] for entry in self._shards], dtype=np.int64)
         self._user_order = np.argsort(self.users, kind="stable")
         self._users_sorted = self.users[self._user_order]
-        self._handles: "OrderedDict[int, _ShardHandle]" = OrderedDict()
+        self._lru: "OrderedDict[int, SparsePPRScores]" = OrderedDict()
 
     # -- pickling: ship the path, reopen shards in the receiving process
     def __getstate__(self):
@@ -289,23 +248,34 @@ class ShardedPPRScores(ScoreStore):
 
     def open_shard_indices(self) -> List[int]:
         """Currently open shards, least-recently-used first (test hook)."""
-        return list(self._handles)
+        return list(self._lru)
 
     # ------------------------------------------------------------------
-    def _handle(self, index: int) -> _ShardHandle:
-        handle = self._handles.get(index)
-        if handle is not None:
-            self._handles.move_to_end(index)
+    def _open(self, index: int) -> SparsePPRScores:
+        """Shard ``index`` as a structure over its files, outside the LRU."""
+        entry = self._shards[index]
+        arrays = {
+            name: np.load(os.path.join(self.directory, filename),
+                          mmap_mode=None if name.endswith("indptr") else "r")
+            for name, filename in entry["files"].items()}
+        return SparsePPRScores(
+            users=self.users[entry["row_start"]:entry["row_stop"]],
+            num_nodes=self.num_nodes, residual=entry["residual"],
+            alpha=self.alpha, epsilon=self.epsilon, **arrays)
+
+    def _shard(self, index: int) -> SparsePPRScores:
+        """Shard ``index`` through the LRU of open shards."""
+        part = self._lru.get(index)
+        if part is not None:
+            self._lru.move_to_end(index)
             telemetry.counter("storage.shard_hits")
-            return handle
+            return part
         telemetry.counter("storage.shard_misses")
-        handle = _ShardHandle(self.directory, self._shards[index],
-                              self.has_residuals)
-        self._handles[index] = handle
-        while len(self._handles) > self.max_open:
-            self._handles.popitem(last=False)
-        telemetry.gauge("storage.open_shards", len(self._handles))
-        return handle
+        part = self._lru[index] = self._open(index)
+        while len(self._lru) > self.max_open:
+            self._lru.popitem(last=False)
+        telemetry.gauge("storage.open_shards", len(self._lru))
+        return part
 
     def _shard_of_rows(self, rows: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._row_starts, rows, side="right") - 1
@@ -328,17 +298,14 @@ class ShardedPPRScores(ScoreStore):
         return bool(pos < self._users_sorted.size
                     and self._users_sorted[pos] == int(user))
 
-    def _row_slice(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One row's ``(node_ids, values)``, read from its shard."""
-        index = int(self._shard_of_rows(np.asarray([row]))[0])
-        handle = self._handle(index)
-        local = row - self._shards[index]["row_start"]
-        lo, hi = handle.indptr[local], handle.indptr[local + 1]
-        return np.asarray(handle.node_ids[lo:hi]), \
-            np.asarray(handle.values[lo:hi])
+    def _shard_of_user(self, user: int) -> SparsePPRScores:
+        if not self.has_user(user):
+            raise KeyError(f"no PPR scores computed for user {user}")
+        row = self._rows_of([user])[0]
+        return self._shard(int(self._shard_of_rows(row)))
 
     # ------------------------------------------------------------------
-    # ScoreStore reads (bitwise-identical to SparsePPRScores)
+    # Reads (bitwise-identical to SparsePPRScores)
     # ------------------------------------------------------------------
     def lookup(self, slots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Scores for (row-slot, node) query pairs; missing entries are 0.
@@ -347,78 +314,26 @@ class ShardedPPRScores(ScoreStore):
         :meth:`~repro.ppr.SparsePPRScores.lookup`; queries are grouped
         by shard so each touched shard is opened once per call.
         """
-        slots = np.asarray(slots, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if slots.size != nodes.size:
-            raise ValueError(
-                f"slots and nodes must align element-wise, got "
-                f"{slots.size} slots and {nodes.size} nodes")
+        slots, nodes = check_lookup(slots, nodes, self.num_rows,
+                                    self.num_nodes)
         out = np.zeros(slots.size, dtype=np.float32)
-        if slots.size == 0:
-            return out
-        bad_slots = (slots < 0) | (slots >= self.num_rows)
-        if bad_slots.any():
-            offender = int(slots[bad_slots][0])
-            raise IndexError(
-                f"slot {offender} out of range for "
-                f"{self.num_rows} score rows")
-        bad_nodes = (nodes < 0) | (nodes >= self.num_nodes)
-        if bad_nodes.any():
-            offender = int(nodes[bad_nodes][0])
-            raise IndexError(
-                f"node {offender} out of range for "
-                f"num_nodes={self.num_nodes}")
         shard_ids = self._shard_of_rows(slots)
-        for index in np.unique(shard_ids):
+        for index in np.unique(shard_ids).tolist():
             mask = shard_ids == index
-            handle = self._handle(int(index))
-            keys = handle.lookup_keys(self.num_nodes)
-            if keys.size == 0:
-                continue
-            local = slots[mask] - self._shards[int(index)]["row_start"]
-            wanted = local * np.int64(self.num_nodes) + nodes[mask]
-            positions = np.searchsorted(keys, wanted)
-            positions = np.minimum(positions, keys.size - 1)
-            found = keys[positions] == wanted
-            values = np.zeros(int(mask.sum()), dtype=np.float32)
-            values[found] = handle.values[positions[found]]
-            out[mask] = values
+            local = slots[mask] - self._shards[index]["row_start"]
+            out[mask] = self._shard(index).gather(local, nodes[mask])
         return out
 
-    def dense_columns(self, nodes: np.ndarray) -> np.ndarray:
-        """Dense ``(num_rows, len(nodes))`` gather of selected columns."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        slots = np.repeat(np.arange(self.num_rows, dtype=np.int64),
-                          nodes.size)
-        return self.lookup(slots, np.tile(nodes, self.num_rows)) \
-            .reshape(self.num_rows, nodes.size)
+    #: only needs ``num_rows`` and ``lookup``
+    dense_columns = SparsePPRScores.dense_columns
 
     def for_user(self, user: int) -> np.ndarray:
         """Densified score vector over all nodes for ``user``."""
-        if not self.has_user(user):
-            raise KeyError(f"no PPR scores computed for user {user}")
-        row = int(self._rows_of([user])[0])
-        node_ids, values = self._row_slice(row)
-        dense = np.zeros(self.num_nodes, dtype=np.float32)
-        dense[node_ids] = values
-        return dense
+        return self._shard_of_user(user).for_user(user)
 
     def residual_for_user(self, user: int) -> np.ndarray:
         """Densified residual vector for ``user`` (requires residuals)."""
-        if not self.has_residuals:
-            raise ValueError(
-                "scores were computed without keep_residuals=True")
-        if not self.has_user(user):
-            raise KeyError(f"no PPR scores computed for user {user}")
-        row = int(self._rows_of([user])[0])
-        index = int(self._shard_of_rows(np.asarray([row]))[0])
-        handle = self._handle(index)
-        local = row - self._shards[index]["row_start"]
-        lo, hi = handle.res_indptr[local], handle.res_indptr[local + 1]
-        dense = np.zeros(self.num_nodes, dtype=np.float32)
-        dense[np.asarray(handle.res_node_ids[lo:hi])] = \
-            np.asarray(handle.res_values[lo:hi])
-        return dense
+        return self._shard_of_user(user).residual_for_user(user)
 
     def select(self, users: Sequence[int]) -> SparsePPRScores:
         """Realize the rows for ``users`` as an in-RAM structure.
@@ -429,205 +344,99 @@ class ShardedPPRScores(ScoreStore):
         backend would hand them.
         """
         rows = self._rows_of(users)
-        node_chunks: List[np.ndarray] = []
-        value_chunks: List[np.ndarray] = []
-        lengths = np.empty(rows.size, dtype=np.int64)
-        for position, row in enumerate(rows.tolist()):
-            node_ids, values = self._row_slice(row)
-            node_chunks.append(node_ids)
-            value_chunks.append(values)
-            lengths[position] = node_ids.size
+        # leading empty chunks fix the dtypes when ``users`` is empty
+        node_chunks: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        value_chunks: List[np.ndarray] = [np.empty(0, dtype=np.float32)]
+        for row in rows.tolist():
+            index = int(self._shard_of_rows(row))
+            part = self._shard(index)
+            local = row - self._shards[index]["row_start"]
+            lo, hi = part.indptr[local], part.indptr[local + 1]
+            node_chunks.append(part.node_ids[lo:hi])
+            value_chunks.append(part.values[lo:hi])
+        lengths = [chunk.size for chunk in node_chunks[1:]]
         return SparsePPRScores(
             users=self.users[rows], num_nodes=self.num_nodes,
-            indptr=np.concatenate([[0], np.cumsum(lengths)]),
-            node_ids=(np.concatenate(node_chunks) if node_chunks
-                      else np.empty(0, dtype=np.int64)),
-            values=(np.concatenate(value_chunks) if value_chunks
-                    else np.empty(0, dtype=np.float32)),
-            residual=self.residual)
+            indptr=np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]),
+            node_ids=np.concatenate(node_chunks),
+            values=np.concatenate(value_chunks), residual=self.residual)
 
     def toarray(self) -> np.ndarray:
         """Full dense matrix (test/debug helper; densifies everything)."""
         return self.select(self.users.tolist()).toarray()
 
-    def normalize_by_degree(self, degrees: np.ndarray) -> None:
-        """Divide stored values by ``max(deg(node), 1)``, shard by shard.
+    # ------------------------------------------------------------------
+    # Rewrites
+    # ------------------------------------------------------------------
+    def parts(self, chunk_users: Optional[int] = None
+              ) -> Iterator[SparsePPRScores]:
+        """Every shard in row order, opened outside the LRU.
 
-        The sharded counterpart of the in-RAM in-place division: each
-        shard's value file is rewritten (same float32 arithmetic, so the
-        stored entries stay bitwise-identical to the RAM backend's) and
-        the manifest is bumped one version.  Open handles are dropped so
-        subsequent reads see the new values.
+        ``chunk_users`` is accepted for symmetry with
+        :meth:`SparsePPRScores.parts` and ignored: the shards are the
+        chunks.
         """
-        degrees = np.maximum(np.asarray(degrees, dtype=np.float64), 1.0)
+        for index in range(self.num_shards):
+            yield self._open(index)
+
+    def rewrite(self, parts: Iterable[Tuple[SparsePPRScores, bool]]
+                ) -> "ShardedPPRScores":
+        """The next manifest version over ``(part, moved)`` pairs, one per
+        shard in order, consumed (and written) one at a time.
+
+        A moved part is written as new ``_v{version}`` shard files by the
+        helper :meth:`ShardWriter.append` uses; the others keep their
+        files.  The manifest is then replaced atomically, and only after
+        that are superseded files unlinked, so a failure before the
+        replace leaves the previous version readable.  Returns a fresh
+        store over the directory.  This object still reads the shards it
+        has open, but must not reopen evicted ones: their files may be
+        gone.
+        """
         version = int(self.manifest["version"]) + 1
+        entries: List[dict] = []
         stale: List[str] = []
-        for index, entry in enumerate(self._shards):
-            handle = _ShardHandle(self.directory, entry, self.has_residuals)
-            values = np.array(handle.values)  # writable copy of the mmap
-            node_ids = np.asarray(handle.node_ids)
-            values /= degrees[node_ids].astype(np.float32)
-            new_name = f"shard_{index:05d}_v{version}.values.npy"
-            np.save(os.path.join(self.directory, new_name), values)
-            stale.append(entry["files"]["values"])
-            entry["files"]["values"] = new_name
-            telemetry.counter("storage.shards_rewritten")
-        self.manifest["version"] = version
-        _atomic_json(os.path.join(self.directory, MANIFEST_NAME),
-                     self.manifest)
+        residual = 0.0
+        rewritten = 0
+        for index, (entry, (part, moved)) in enumerate(
+                zip(self._shards, parts)):
+            if moved:
+                rewritten += 1
+                stale.extend(entry["files"].values())
+                entry = _write_shard(self.directory, index, version, part,
+                                     entry["row_start"])
+            else:
+                # same files; the restated residual keeps the manifest
+                # total equal to the sum over its entries
+                entry = dict(entry, residual=float(part.residual))
+            residual += entry["residual"]
+            entries.append(entry)
+        manifest = dict(self.manifest, version=version, residual=residual,
+                        shards=entries)
+        _atomic_json(os.path.join(self.directory, MANIFEST_NAME), manifest)
         for name in stale:
             try:
                 os.unlink(os.path.join(self.directory, name))
             except OSError:
                 pass
-        self._handles.clear()
-
-
-# ----------------------------------------------------------------------
-# Incremental maintenance with targeted shard invalidation
-# ----------------------------------------------------------------------
-
-def incremental_push_sharded(ckg, scores: ShardedPPRScores,
-                             new_interactions: Sequence[Tuple[int, int]]
-                             ) -> IncrementalPushResult:
-    """Maintain a sharded store after new interactions (see
-    :func:`repro.ppr.incremental_push`, which dispatches here).
-
-    The delta math is the shared chunk kernel of the in-RAM path
-    (:func:`repro.ppr.push._apply_delta_chunk`), applied shard by shard
-    — shard boundaries are the maintenance chunks.  A shard none of
-    whose rows moved is carried into the new manifest untouched
-    (``storage.shards_reused``); every other shard is rewritten under
-    the bumped version (``storage.shards_rewritten``) and its old files
-    are unlinked once the new manifest is on disk.  The returned store
-    is a fresh object over the same directory — callers swap it in, and
-    concurrent readers of the old object keep their mmap'd data alive.
-    """
-    if not scores.has_residuals:
-        raise ValueError(
-            "incremental_push requires scores computed with "
-            "keep_residuals=True — residual rows were not stored")
-    if scores.num_nodes != ckg.num_nodes:
-        raise ValueError(
-            f"scores cover {scores.num_nodes} nodes but the graph has "
-            f"{ckg.num_nodes} — they belong to different graphs")
-    alpha = float(scores.alpha)
-    epsilon = float(scores.epsilon)
-    pairs = [(int(u), int(i)) for u, i in new_interactions]
-    if not pairs:
-        raise ValueError("new_interactions must be non-empty")
-
-    with telemetry.span("ppr.incremental_push"):
-        new_ckg = ckg.add_interactions(pairs)
-        num_nodes = ckg.num_nodes
-        ins_heads, ins_tails, deg_at = _delta_edges(ckg, pairs)
-        new_degrees = np.diff(new_ckg.indptr)
-        inv_degrees = (1.0 - alpha) / np.maximum(new_degrees, 1)
-        thresholds = epsilon * new_degrees.astype(np.float64)
-
-        version = int(scores.manifest["version"]) + 1
-        new_entries: List[dict] = []
-        changed_chunks: List[np.ndarray] = []
-        stale_files: List[str] = []
-        sweep_ops = 0
-        total_residual = 0.0
-        reused = rewritten = 0
-
-        for index, entry in enumerate(scores._shards):
-            handle = _ShardHandle(scores.directory, entry, True)
-            row_start, row_stop = entry["row_start"], entry["row_stop"]
-            batch = row_stop - row_start
-            estimate = np.zeros((batch, num_nodes))
-            residual = np.zeros((batch, num_nodes))
-            for local in range(batch):
-                lo, hi = handle.indptr[local], handle.indptr[local + 1]
-                estimate[local, handle.node_ids[lo:hi]] = \
-                    handle.values[lo:hi]
-                lo, hi = handle.res_indptr[local], \
-                    handle.res_indptr[local + 1]
-                residual[local, handle.res_node_ids[lo:hi]] = \
-                    handle.res_values[lo:hi]
-
-            ops, touched = _apply_delta_chunk(
-                new_ckg, estimate, residual, ins_heads, ins_tails, deg_at,
-                alpha, thresholds, new_degrees, inv_degrees)
-            sweep_ops += ops
-            shard_residual = float(np.abs(residual).sum())
-            total_residual += shard_residual
-            changed_chunks.append(scores.users[row_start:row_stop][touched])
-
-            if not touched.any():
-                new_entries.append(entry)
-                reused += 1
-                continue
-            rewritten += 1
-            node_chunks, value_chunks = [], []
-            res_node_chunks, res_value_chunks = [], []
-            lengths = np.empty(batch, dtype=np.int64)
-            res_lengths = np.empty(batch, dtype=np.int64)
-            for local in range(batch):
-                kept = np.flatnonzero(estimate[local])
-                node_chunks.append(kept)
-                value_chunks.append(
-                    estimate[local, kept].astype(np.float32))
-                lengths[local] = kept.size
-                res_kept = np.flatnonzero(residual[local])
-                res_node_chunks.append(res_kept)
-                res_value_chunks.append(
-                    residual[local, res_kept].astype(np.float32))
-                res_lengths[local] = res_kept.size
-            files = _shard_files(index, version, True)
-            arrays = {
-                "indptr": np.concatenate([[0], np.cumsum(lengths)]),
-                "node_ids": (np.concatenate(node_chunks) if node_chunks
-                             else np.empty(0, dtype=np.int64)),
-                "values": (np.concatenate(value_chunks) if value_chunks
-                           else np.empty(0, dtype=np.float32)),
-                "res_indptr": np.concatenate([[0], np.cumsum(res_lengths)]),
-                "res_node_ids": (np.concatenate(res_node_chunks)
-                                 if res_node_chunks
-                                 else np.empty(0, dtype=np.int64)),
-                "res_values": (np.concatenate(res_value_chunks)
-                               if res_value_chunks
-                               else np.empty(0, dtype=np.float32)),
-            }
-            for part, name in files.items():
-                np.save(os.path.join(scores.directory, name), arrays[part])
-            stale_files.extend(entry["files"].values())
-            new_entries.append({
-                "row_start": row_start, "row_stop": row_stop,
-                "nnz": int(arrays["node_ids"].size),
-                "res_nnz": int(arrays["res_node_ids"].size),
-                "residual": shard_residual,
-                "files": files,
-            })
-
-        manifest = dict(scores.manifest)
-        manifest["version"] = version
-        manifest["residual"] = total_residual
-        manifest["shards"] = new_entries
-        _atomic_json(os.path.join(scores.directory, MANIFEST_NAME), manifest)
-        # Superseded files are unlinked only now; readers of the old
-        # store object keep them alive through their mmap handles.
-        for name in stale_files:
-            try:
-                os.unlink(os.path.join(scores.directory, name))
-            except OSError:
-                pass
-
-        new_scores = ShardedPPRScores(scores.directory,
-                                      max_open=scores.max_open)
-        push_ops = sweep_ops + int(ins_heads.size)
-        telemetry.counter("ppr.push_ops", push_ops)
-        telemetry.counter("ppr.incremental_pushes", push_ops)
-        telemetry.counter("storage.shards_reused", reused)
         telemetry.counter("storage.shards_rewritten", rewritten)
-        telemetry.gauge("ppr.residual_mass", total_residual)
-        telemetry.gauge("ppr.score_bytes", new_scores.nbytes)
-        telemetry.gauge("storage.shard_bytes", new_scores.nbytes)
+        telemetry.counter("storage.shards_reused", len(entries) - rewritten)
+        store = ShardedPPRScores(self.directory, max_open=self.max_open)
+        telemetry.gauge("storage.shard_bytes", store.nbytes)
+        return store
 
-    changed_users = (np.concatenate(changed_chunks) if changed_chunks
-                     else np.empty(0, dtype=np.int64))
-    return IncrementalPushResult(
-        ckg=new_ckg, scores=new_scores,
-        changed_users=changed_users, push_ops=push_ops)
+    def normalize_by_degree(self, degrees: np.ndarray) -> None:
+        """Divide stored values by ``max(deg(node), 1)``, shard by shard.
+
+        Each shard is divided in RAM by the in-RAM backend's own method
+        (so entries stay bitwise-identical to it) and written through
+        :meth:`rewrite`; this object then reads the new version.
+        """
+        def normalized():
+            for part in self.parts():
+                part.values = np.array(part.values)  # writable copy
+                part.normalize_by_degree(degrees)
+                yield part, True
+
+        self.rewrite(normalized())
+        self._load_manifest()

@@ -1,12 +1,11 @@
-"""The ``ScoreStore`` contract and backend resolution knobs.
+"""Backend resolution for PPR score storage.
 
 Every PPR score structure in the repo — the in-RAM
 :class:`~repro.ppr.SparsePPRScores` and the on-disk
-:class:`~repro.storage.ShardedPPRScores` — serves the same read
-interface to the pruner, the trainer, and the serving layer.
-:class:`ScoreStore` names that interface so the backends stay
-interchangeable: anything the pruner or server does against one must
-work (and return bitwise-identical values) against the other.
+:class:`~repro.storage.ShardedPPRScores`, which opens each of its shards
+as a :class:`~repro.ppr.SparsePPRScores` — serves the same reads to the
+pruner, the trainer, and the serving layer, with bitwise-identical
+values.
 
 Backend selection is a single knob threaded through the stack:
 ``TrainConfig.ppr_store`` / ``--store {ram,mmap}`` on the CLI, falling
@@ -17,13 +16,12 @@ shards and serves reads through memory maps (see ``docs/storage.md``).
 
 from __future__ import annotations
 
-import abc
 import os
 import tempfile
 from typing import Optional
 
-__all__ = ["ScoreStore", "STORE_ENV_VAR", "STORE_BACKENDS",
-           "resolve_store", "resolve_store_dir"]
+__all__ = ["STORE_ENV_VAR", "STORE_BACKENDS", "resolve_store",
+           "resolve_store_dir"]
 
 #: environment fallback for the ``--store`` / ``ppr_store`` knob
 STORE_ENV_VAR = "REPRO_PPR_STORE"
@@ -65,52 +63,3 @@ def resolve_store_dir(requested: Optional[str] = None,
         return requested
     return tempfile.mkdtemp(prefix=prefix)
 
-
-class ScoreStore(abc.ABC):
-    """Read interface every PPR score backend implements.
-
-    ``lookup`` / ``select`` / ``dense_columns`` / ``for_user`` must be
-    **bitwise-identical** across backends for the same solve — the
-    property test in ``tests/test_storage.py`` holds the sharded backend
-    to the in-RAM reference entry by entry.  Registered (virtually) for
-    both backends so ``isinstance(x, ScoreStore)`` works without
-    coupling the implementations.
-    """
-
-    @property
-    @abc.abstractmethod
-    def num_rows(self) -> int:
-        """Stored score rows (one per user)."""
-
-    @property
-    @abc.abstractmethod
-    def nnz(self) -> int:
-        """Total stored (row, node) entries."""
-
-    @property
-    @abc.abstractmethod
-    def nbytes(self) -> int:
-        """Bytes held by the score storage (RAM or on disk)."""
-
-    @property
-    @abc.abstractmethod
-    def has_residuals(self) -> bool:
-        """Whether residual rows were kept for incremental maintenance."""
-
-    @abc.abstractmethod
-    def has_user(self, user: int) -> bool: ...
-
-    @abc.abstractmethod
-    def lookup(self, slots, nodes): ...
-
-    @abc.abstractmethod
-    def select(self, users): ...
-
-    @abc.abstractmethod
-    def dense_columns(self, nodes): ...
-
-    @abc.abstractmethod
-    def for_user(self, user: int): ...
-
-    @abc.abstractmethod
-    def normalize_by_degree(self, degrees) -> None: ...

@@ -256,6 +256,11 @@ class TestPPREquivalence:
         serial_scores, other_scores = serial.ppr_scores, other.ppr_scores
         assert np.array_equal(serial_scores.users, other_scores.users)
         assert serial_scores.residual == other_scores.residual
+        # the solver parameters survive the fan-out's concatenation
+        config = serial.train_config
+        for scores in (serial_scores, other_scores):
+            assert (scores.alpha, scores.epsilon) \
+                == (config.ppr_alpha, config.ppr_epsilon)
         if not hasattr(serial_scores, "indptr"):
             # sharded mmap backend (REPRO_PPR_STORE=mmap): materialize
             # both sides the same way and compare the flat CSR arrays

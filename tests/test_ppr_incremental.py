@@ -213,6 +213,25 @@ class TestIncrementalPush:
                 result.scores.residual_for_user(user),
                 base.residual_for_user(user))
 
+    def test_untouched_single_part_result_shares_no_array(self):
+        """A one-part store the write never reaches is carried, not
+        re-encoded; the result must still own its arrays, because
+        ``normalize_by_degree`` divides them in place."""
+        graph = _two_component_ckg()
+        base = forward_push_batch(graph, [0, 1], epsilon=1e-5,
+                                  keep_residuals=True)
+        values_before = base.values.copy()
+        residuals_before = base.res_values.copy()
+        result = incremental_push(graph, base, [(2, 3)])
+        assert result.changed_users.size == 0
+        result.scores.normalize_by_degree(np.diff(result.ckg.indptr))
+        np.testing.assert_array_equal(base.values, values_before)
+        np.testing.assert_array_equal(base.res_values, residuals_before)
+        for name in ("users", "indptr", "node_ids", "values", "res_indptr",
+                     "res_node_ids", "res_values"):
+            assert not np.shares_memory(getattr(result.scores, name),
+                                        getattr(base, name))
+
     def test_cheaper_than_scratch(self):
         rng = np.random.default_rng(7)
         interactions = sorted({(int(rng.integers(50)),

@@ -16,6 +16,7 @@ from repro.data import lastfm_like, traditional_split
 from repro.graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
 from repro.ppr import (SparsePPRScores, forward_push_batch,
                        personalized_pagerank_batch, sparsify_scores)
+from repro.ppr.push import _to_csr, _to_dense
 
 
 @pytest.fixture
@@ -216,6 +217,40 @@ class TestSparseScores:
         np.testing.assert_allclose(sparse.toarray(), batch.scores,
                                    atol=1e-7)
         np.testing.assert_array_equal(sparse.users, [0, 2])
+
+
+def _row_loop_csr(dense, top_m):
+    """Reference: the per-row encoding the solvers used before ``_to_csr``."""
+    nodes, values, lengths = [], [], []
+    for row in range(dense.shape[0]):
+        kept = np.flatnonzero(dense[row])
+        if top_m is not None and kept.size > top_m:
+            top = np.argpartition(-dense[row, kept], top_m - 1)[:top_m]
+            kept = np.sort(kept[top])
+        nodes.append(kept)
+        values.append(dense[row, kept].astype(np.float32))
+        lengths.append(kept.size)
+    return (np.concatenate([[0], np.cumsum(lengths)]),
+            np.concatenate(nodes), np.concatenate(values))
+
+
+class TestCSREncoding:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), top_m=st.none() | st.integers(1, 6))
+    def test_to_csr_matches_row_loop(self, seed, top_m):
+        """Bitwise equal to the per-row loop, truncation ties included."""
+        rng = np.random.default_rng(seed)
+        dense = rng.choice([0.0, 0.0, 0.25, 0.5, rng.random()],
+                           size=(int(rng.integers(1, 6)), 9))
+        expected = _row_loop_csr(dense, top_m)
+        got = _to_csr(dense, top_m)
+        for a, b in zip(expected, got):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        if top_m is None:
+            np.testing.assert_array_equal(
+                _to_dense(*got, num_nodes=9, dtype=np.float32),
+                dense.astype(np.float32))
 
 
 class TestTrainerEquivalence:

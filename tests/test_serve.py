@@ -122,6 +122,13 @@ class TestService:
         service.recommend([2])  # evicts user 0, the least recent
         assert service.cached_users() == {1, 2}
 
+    def test_request_larger_than_cache_is_answered(self):
+        service = _stub_service(cache_entries=2)
+        rankings = service.recommend([0, 1, 2, 3, 0])
+        assert len(rankings) == 5
+        np.testing.assert_array_equal(rankings[0], rankings[4])
+        assert service.cached_users() == {2, 3}
+
     def test_update_evicts_only_affected_component(self):
         service = _stub_service()
         service.recommend([0, 1, 2, 3])
@@ -205,8 +212,10 @@ class TestFromRecommender:
 
 
 def _post(url, body):
+    """POST ``body``: a JSON-serializable value, or raw JSON text."""
+    text = body if isinstance(body, str) else json.dumps(body)
     request = urllib.request.Request(
-        url, data=json.dumps(body).encode("utf-8"),
+        url, data=text.encode("utf-8"),
         headers={"Content-Type": "application/json"}, method="POST")
     with urllib.request.urlopen(request, timeout=5) as reply:
         return reply.status, json.loads(reply.read().decode("utf-8"))
@@ -253,6 +262,29 @@ class TestHTTP:
             assert caught.value.code == 400
             error = json.loads(caught.value.read().decode("utf-8"))
             assert "error" in error
+
+    @pytest.mark.parametrize("path, text", [
+        ("/recommend", '{"users": [Infinity]}'),
+        ("/recommend", '{"users": [1e400]}'),
+        ("/recommend", '{"users": [0], "k": Infinity}'),
+        ("/interactions", '{"pairs": [[0, Infinity]]}'),
+        ("/recommend", '{"users": [0.9]}'),
+        ("/recommend", '{"users": [true]}'),
+        ("/recommend", '{"users": [0], "k": 1.5}'),
+        ("/interactions", '{"pairs": [[0.5, 3.7]]}'),
+    ])
+    def test_ids_and_k_must_be_json_integers(self, server, path, text):
+        """Floats, infinities and booleans are refused, never truncated:
+        no answer for a rounded user, no write of a rounded pair."""
+        instance, url = server
+        edges = instance.service.ckg.num_edges
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            _post(f"{url}{path}", text)
+        assert caught.value.code == 400
+        error = json.loads(caught.value.read().decode("utf-8"))
+        assert "integer" in error["error"]
+        assert instance.service.ckg.num_edges == edges
+        assert instance.service.interactions_added == 0
 
     def test_unknown_path_is_404(self, server):
         _, url = server

@@ -29,8 +29,8 @@ from repro.ppr import (SparsePPRScores, forward_push_batch,
                        forward_push_sharded, incremental_push,
                        personalized_pagerank_batch,
                        personalized_pagerank_mmap)
-from repro.storage import (STORE_ENV_VAR, ScoreStore, ShardedPPRScores,
-                           ShardWriter, resolve_store)
+from repro.storage import (STORE_ENV_VAR, ShardedPPRScores, ShardWriter,
+                           resolve_store)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +68,6 @@ def _counters():
 class TestBitwiseParity:
     def test_store_interface(self, ckg, tmp_path):
         ram, sharded = _pair(ckg, tmp_path)
-        assert isinstance(ram, ScoreStore)       # virtual registration
-        assert isinstance(sharded, ScoreStore)
         assert sharded.num_rows == ram.num_rows
         assert sharded.nnz == ram.nnz
         assert sharded.has_residuals == ram.has_residuals
@@ -315,6 +313,71 @@ class TestIncrementalSharded:
         for name in set(before) - after:
             assert not os.path.exists(
                 os.path.join(result.scores.directory, name))
+
+
+# ----------------------------------------------------------------------
+# Crash consistency of shard rewrites
+# ----------------------------------------------------------------------
+
+def _refuse(*args, **kwargs):
+    raise OSError("injected failure")
+
+
+class TestCrashConsistency:
+    """A rewrite writes new shard files, replaces the manifest, then
+    unlinks superseded files.  A failed replace must leave the previous
+    version readable; a failed unlink must not fail the rewrite."""
+
+    @pytest.fixture
+    def store(self, ckg, tmp_path):
+        return forward_push_sharded(
+            ckg, range(24), str(tmp_path / "crash"), chunk_users=8,
+            keep_residuals=True, max_open=1)
+
+    @staticmethod
+    def _rewrite(operation, ckg, store):
+        """Run ``operation`` on ``store``; return the store it produces."""
+        if operation == "incremental_push":
+            item = next(i for i in range(ckg.num_items)
+                        if not ckg.has_interaction(0, i))
+            return incremental_push(ckg, store, [(0, item)]).scores
+        store.normalize_by_degree(np.diff(ckg.indptr))
+        return store
+
+    @staticmethod
+    def _arrays(store):
+        return store.toarray(), [store.residual_for_user(user)
+                                 for user in store.users.tolist()]
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert np.array_equal(a[0], b[0])
+        for x, y in zip(a[1], b[1]):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("operation",
+                             ["incremental_push", "normalize_by_degree"])
+    def test_failed_manifest_replace_keeps_previous_version(
+            self, ckg, store, monkeypatch, operation):
+        before = self._arrays(store)
+        monkeypatch.setattr(os, "replace", _refuse)
+        with pytest.raises(OSError, match="injected failure"):
+            self._rewrite(operation, ckg, store)
+        monkeypatch.undo()
+        reopened = ShardedPPRScores(store.directory)
+        assert reopened.manifest["version"] == 0
+        self._assert_same(self._arrays(reopened), before)
+
+    @pytest.mark.parametrize("operation",
+                             ["incremental_push", "normalize_by_degree"])
+    def test_failed_unlink_still_publishes_new_version(
+            self, ckg, store, monkeypatch, operation):
+        monkeypatch.setattr(os, "unlink", _refuse)
+        after = self._arrays(self._rewrite(operation, ckg, store))
+        monkeypatch.undo()
+        reopened = ShardedPPRScores(store.directory)
+        assert reopened.manifest["version"] == 1
+        self._assert_same(self._arrays(reopened), after)
 
 
 # ----------------------------------------------------------------------

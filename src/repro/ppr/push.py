@@ -8,10 +8,12 @@ of that cost:
 
 * :func:`forward_push_batch` runs the Andersen–Chung–Lang *forward push*
   solver (Andersen, Chung & Lang, FOCS 2006) per source user, directly
-  on the CKG CSR arrays.  Work is proportional to the residual mass
-  actually moved — ``O(1 / (alpha * epsilon))`` pushes per user in the
-  worst case, independent of graph size — instead of 20 full passes
-  over every edge for every user.
+  on the CKG CSR arrays.  A chunk of users is pushed together in
+  frontier sweeps, and after the first sweep each one tests and updates
+  only the cells the previous sweep spread into, so work follows the
+  pushes made — ``O(1 / (alpha * epsilon))`` per user in the worst case,
+  independent of graph size — instead of 20 full passes over every edge
+  for every user.
 * :class:`SparsePPRScores` keeps only the top-``M`` entries per user in
   CSR layout (``indptr`` / ``node_ids`` / ``values``, float32), cutting
   score storage from O(U x N) float64 to O(U x M) float32 while serving
@@ -432,6 +434,16 @@ def _encode_chunk(users: np.ndarray, estimate: np.ndarray,
 DEFAULT_CHUNK_USERS = 64
 
 
+def _check_users(ckg: CollaborativeKG, users: Sequence[int]) -> np.ndarray:
+    """``users`` as an int64 array, or the error naming what is wrong."""
+    user_array = np.asarray(list(users), dtype=np.int64)
+    if user_array.size == 0:
+        raise ValueError("users must be non-empty")
+    if user_array.min() < 0 or user_array.max() >= ckg.num_users:
+        raise ValueError("user id out of range")
+    return user_array
+
+
 def _sweep_chunk(ckg: CollaborativeKG, estimate: np.ndarray,
                  residual: np.ndarray, thresholds: np.ndarray,
                  degrees: np.ndarray, inv_degrees: np.ndarray, alpha: float,
@@ -439,38 +451,69 @@ def _sweep_chunk(ckg: CollaborativeKG, estimate: np.ndarray,
                  touched: Optional[np.ndarray] = None) -> int:
     """Run frontier sweeps on one dense chunk until below threshold.
 
-    Mutates ``estimate`` / ``residual`` in place and returns the push-op
-    count (frontier nodes + traversed edges).  ``signed=True`` pushes
-    whenever ``|r| > epsilon * outdeg`` — incremental maintenance can
-    leave *negative* residual at the head of an inserted edge, and both
-    signs must drain for the two-sided error bound to hold.  ``touched``
+    Mutates the C-contiguous ``(chunk, num_nodes)`` arrays ``estimate``
+    / ``residual`` in place and returns the push-op count (frontier
+    nodes + traversed edges).  ``signed=True`` pushes whenever
+    ``|r| > epsilon * outdeg`` — incremental maintenance can leave
+    *negative* residual at the head of an inserted edge, and both signs
+    must drain for the two-sided error bound to hold.  ``touched``
     (optional bool array, one slot per chunk row) is OR-ed with the rows
     that pushed, so callers can tell which users actually moved.
+
+    The first frontier comes from a scan of the whole chunk, because
+    maintenance resumes from float32-rounded residual rows that may sit
+    above threshold anywhere.  Each sweep pushes (and zeroes) every cell
+    above threshold, so afterwards only the cells it spread into can
+    cross one, and only they are tested: the sweep sums its spreads per
+    distinct target cell, adds the sums to those cells, and takes the
+    next frontier from them in ascending flat (row-major) order.  A
+    sweep whose spread entries reach a quarter of the chunk's cells adds
+    one dense ``bincount`` and rescans the chunk instead.  Either way a
+    cell receives its spreads summed in frontier order, so both paths
+    give bitwise-identical frontiers, estimates and residuals.
     """
     batch, num_nodes = residual.shape
+    cells = batch * num_nodes
+    flat_estimate = estimate.reshape(-1)
+    flat_residual = residual.reshape(-1)
+
+    def above(values, limits):
+        return (np.abs(values) if signed else values) > limits
+
+    # per sparse sweep: an entry index, then a compact id, per target cell
+    slot = np.empty(cells, dtype=np.int64)
+    frontier = np.flatnonzero(above(residual, thresholds))
     ops = 0
     for _ in range(MAX_SWEEPS):
-        if signed:
-            rows, nodes = np.nonzero(np.abs(residual) > thresholds)
-        else:
-            rows, nodes = np.nonzero(residual > thresholds)
-        if rows.size == 0:
+        if frontier.size == 0:
             break
-        mass = residual[rows, nodes]
-        estimate[rows, nodes] += alpha * mass
-        residual[rows, nodes] = 0.0
+        rows, nodes = np.divmod(frontier, num_nodes)
+        mass = flat_residual[frontier]
+        flat_estimate[frontier] += alpha * mass
+        flat_residual[frontier] = 0.0
         out_degs = degrees[nodes]
         edge_ids = ckg.out_edge_ids(nodes)
-        if edge_ids.size:
-            spread = (mass * inv_degrees[nodes]).repeat(out_degs)
-            targets = (rows.repeat(out_degs) * np.int64(num_nodes)
-                       + ckg.tails[edge_ids])
-            residual += np.bincount(
-                targets, weights=spread,
-                minlength=batch * num_nodes).reshape(batch, num_nodes)
-        ops += int(edge_ids.size) + int(rows.size)
+        ops += int(edge_ids.size) + int(frontier.size)
         if touched is not None:
             touched[rows] = True
+        spread = (mass * inv_degrees[nodes]).repeat(out_degs)
+        tails = ckg.tails[edge_ids]
+        targets = rows.repeat(out_degs) * np.int64(num_nodes) + tails
+        if 4 * targets.size >= cells:
+            flat_residual += np.bincount(targets, weights=spread,
+                                         minlength=cells)
+            frontier = np.flatnonzero(above(residual, thresholds))
+            continue
+        entries = np.arange(targets.size)
+        slot[targets] = entries
+        # one entry per distinct cell survives the write and reads itself
+        first = slot[targets] == entries
+        hit = targets[first]
+        slot[hit] = np.arange(hit.size)
+        updated = flat_residual[hit] + np.bincount(
+            slot[targets], weights=spread, minlength=hit.size)
+        flat_residual[hit] = updated
+        frontier = np.sort(hit[above(updated, thresholds[tails[first]])])
     return ops
 
 
@@ -487,14 +530,14 @@ def forward_push_batch(ckg: CollaborativeKG, users: Sequence[int],
     residual ``r`` (``r`` starts as one-hot restart rows).  Each sweep
     takes the whole frontier ``{(u, v) : r[u, v] > epsilon * outdeg(v)}``
     across every user in the chunk at once, moves ``alpha * r`` into
-    ``p``, and spreads ``(1 - alpha) * r / outdeg`` along out-edges via
-    a single ``bincount`` over ``row * num_nodes + tail`` composite
-    keys.  Work is proportional to residual mass actually moved —
-    O(1 / (alpha * epsilon)) pushes per user in the worst case — and
-    peak temporary memory is O(chunk_users x num_nodes) regardless of
-    how many users are requested.  Dangling nodes absorb their
-    non-restart mass exactly as the column-normalized power iteration
-    does (all-zero columns).
+    ``p``, and spreads ``(1 - alpha) * r / outdeg`` along out-edges,
+    summed per ``row * num_nodes + tail`` target cell.  Only those
+    target cells are tested for the next frontier (see
+    :func:`_sweep_chunk`), so a sweep costs what it pushes rather than
+    a pass over the chunk, and peak temporary memory is
+    O(chunk_users x num_nodes) regardless of how many users are
+    requested.  Dangling nodes absorb their non-restart mass exactly as
+    the column-normalized power iteration does (all-zero columns).
 
     Parameters
     ----------
@@ -527,11 +570,7 @@ def forward_push_batch(ckg: CollaborativeKG, users: Sequence[int],
         raise ValueError(f"top_m must be >= 1, got {top_m}")
     if chunk_users < 1:
         raise ValueError(f"chunk_users must be >= 1, got {chunk_users}")
-    user_array = np.asarray(list(users), dtype=np.int64)
-    if user_array.size == 0:
-        raise ValueError("users must be non-empty")
-    if user_array.min() < 0 or user_array.max() >= ckg.num_users:
-        raise ValueError("user id out of range")
+    user_array = _check_users(ckg, users)
 
     num_nodes = ckg.num_nodes
     degrees = np.diff(ckg.indptr)
@@ -589,9 +628,8 @@ def forward_push_sharded(ckg: CollaborativeKG, users: Sequence[int],
     with the whole-run values once the manifest is written.
     """
     from ..storage.sharded import ShardWriter
-    user_array = np.asarray(list(users), dtype=np.int64)
-    if user_array.size == 0:
-        raise ValueError("users must be non-empty")
+    # every chunk is checked before the first one is written
+    user_array = _check_users(ckg, users)
     writer = ShardWriter(directory, ckg.num_nodes,
                          keep_residuals=keep_residuals, overwrite=overwrite)
     total_residual = 0.0

@@ -58,6 +58,15 @@ def _atomic_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def _unlink_quietly(directory: str, names: Iterable[str]) -> None:
+    """Remove superseded files; one that will not go stays an orphan."""
+    for name in names:
+        try:
+            os.unlink(os.path.join(directory, name))
+        except OSError:
+            pass
+
+
 def _write_shard(directory: str, index: int, version: int,
                  part: SparsePPRScores, row_start: int) -> dict:
     """Save ``part`` as shard ``index`` at ``version``; return its entry."""
@@ -89,6 +98,13 @@ class ShardWriter:
     write the manifest and get the readable :class:`ShardedPPRScores`.
     The writer never holds more than one chunk's arrays — peak RAM is
     one shard, regardless of the population size.
+
+    With ``overwrite=True`` over an existing store, the solve is that
+    store's next version: shards and the users file are written under
+    new ``_v{version}`` names, and the files the previous manifest names
+    are unlinked only after the new manifest replaced it, as in
+    :meth:`ShardedPPRScores.rewrite`.  A failure before the replace
+    leaves the previous version readable.
     """
 
     def __init__(self, directory: str, num_nodes: int,
@@ -98,10 +114,20 @@ class ShardWriter:
         self.keep_residuals = bool(keep_residuals)
         os.makedirs(directory, exist_ok=True)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
-        if os.path.exists(manifest_path) and not overwrite:
-            raise FileExistsError(
-                f"{manifest_path} already holds a shard manifest; pass "
-                "overwrite=True (or point the writer at a fresh directory)")
+        self._version = 0
+        self._stale: List[str] = []
+        if os.path.exists(manifest_path):
+            if not overwrite:
+                raise FileExistsError(
+                    f"{manifest_path} already holds a shard manifest; pass "
+                    "overwrite=True (or point the writer at a fresh "
+                    "directory)")
+            with open(manifest_path, "r", encoding="utf-8") as handle:
+                previous = json.load(handle)
+            self._version = int(previous["version"]) + 1
+            self._stale = [previous["users_file"]] + [
+                name for entry in previous["shards"]
+                for name in entry["files"].values()]
         self._entries: List[dict] = []
         self._user_chunks: List[np.ndarray] = []
         self._residual = 0.0
@@ -121,7 +147,8 @@ class ShardWriter:
                 f"(keep_residuals={self.keep_residuals})")
         row_start = sum(len(users) for users in self._user_chunks)
         self._entries.append(_write_shard(
-            self.directory, len(self._entries), 0, part, row_start))
+            self.directory, len(self._entries), self._version, part,
+            row_start))
         self._user_chunks.append(np.asarray(part.users, dtype=np.int64))
         self._residual += float(part.residual)
         telemetry.counter("storage.shards_written")
@@ -129,28 +156,32 @@ class ShardWriter:
     def finalize(self, alpha: Optional[float] = None,
                  epsilon: Optional[float] = None,
                  max_open: Optional[int] = None) -> "ShardedPPRScores":
-        """Write ``users.npy`` + the manifest; return the readable store."""
+        """Write the users file + the manifest, unlink the previous
+        version's files, and return the readable store."""
         if self._finalized:
             raise RuntimeError("writer already finalized")
         if not self._entries:
             raise ValueError("no shards were appended")
         self._finalized = True
         users = np.concatenate(self._user_chunks)
-        np.save(os.path.join(self.directory, "users.npy"), users)
+        users_file = ("users.npy" if self._version == 0
+                      else f"users_v{self._version}.npy")
+        np.save(os.path.join(self.directory, users_file), users)
         manifest = {
             "format": MANIFEST_FORMAT,
             "format_version": MANIFEST_FORMAT_VERSION,
-            "version": 0,
+            "version": self._version,
             "num_rows": int(users.size),
             "num_nodes": self.num_nodes,
             "alpha": None if alpha is None else float(alpha),
             "epsilon": None if epsilon is None else float(epsilon),
             "residual": float(self._residual),
             "has_residuals": self.keep_residuals,
-            "users_file": "users.npy",
+            "users_file": users_file,
             "shards": self._entries,
         }
         _atomic_json(os.path.join(self.directory, MANIFEST_NAME), manifest)
+        _unlink_quietly(self.directory, self._stale)
         store = ShardedPPRScores(self.directory, max_open=max_open)
         telemetry.gauge("storage.shard_bytes", store.nbytes)
         return store
@@ -414,11 +445,7 @@ class ShardedPPRScores:
         manifest = dict(self.manifest, version=version, residual=residual,
                         shards=entries)
         _atomic_json(os.path.join(self.directory, MANIFEST_NAME), manifest)
-        for name in stale:
-            try:
-                os.unlink(os.path.join(self.directory, name))
-            except OSError:
-                pass
+        _unlink_quietly(self.directory, stale)
         telemetry.counter("storage.shards_rewritten", rewritten)
         telemetry.counter("storage.shards_reused", len(entries) - rewritten)
         store = ShardedPPRScores(self.directory, max_open=self.max_open)

@@ -12,6 +12,13 @@ kernels replace, and serve as the parity oracles in the tests:
 * :func:`reference_compgcn_encode` — CompGCN's per-edge transform, which
   the fused encoder matches up to rounding only (it transforms the
   per-node sums, not each edge message).
+
+The forward-push solver's active-set sweep has an oracle here too:
+
+* :func:`reference_sweep_chunk` — the dense sweep that scans the whole
+  chunk and adds one ``bincount`` over chunk x N keys per sweep,
+  bitwise equal to ``repro.ppr.push._sweep_chunk`` in estimate,
+  residual, op count and touched rows.
 """
 
 import numpy as np
@@ -71,3 +78,35 @@ def reference_compgcn_encode(model):
         entities = aggregated.tanh()
         relations = model.relation_transforms[layer](relations)
     return entities, relations
+
+
+def reference_sweep_chunk(ckg, estimate, residual, thresholds, degrees,
+                          inv_degrees, alpha, signed=False, touched=None):
+    """``_sweep_chunk`` as one dense scan and ``bincount`` per sweep."""
+    from repro.ppr.push import MAX_SWEEPS
+
+    batch, num_nodes = residual.shape
+    ops = 0
+    for _ in range(MAX_SWEEPS):
+        if signed:
+            rows, nodes = np.nonzero(np.abs(residual) > thresholds)
+        else:
+            rows, nodes = np.nonzero(residual > thresholds)
+        if rows.size == 0:
+            break
+        mass = residual[rows, nodes]
+        estimate[rows, nodes] += alpha * mass
+        residual[rows, nodes] = 0.0
+        out_degs = degrees[nodes]
+        edge_ids = ckg.out_edge_ids(nodes)
+        if edge_ids.size:
+            spread = (mass * inv_degrees[nodes]).repeat(out_degs)
+            targets = (rows.repeat(out_degs) * np.int64(num_nodes)
+                       + ckg.tails[edge_ids])
+            residual += np.bincount(
+                targets, weights=spread,
+                minlength=batch * num_nodes).reshape(batch, num_nodes)
+        ops += int(edge_ids.size) + int(rows.size)
+        if touched is not None:
+            touched[rows] = True
+    return ops

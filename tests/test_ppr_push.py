@@ -1,10 +1,15 @@
 """Tests for the sparse forward-push PPR engine (repro/ppr/push.py).
 
 Covers the Andersen-Chung-Lang accuracy guarantee (small epsilon
-approaches the converged power iteration), the ``SparsePPRScores``
-CSR storage (lookup / select / densify / degree normalization), and
-end-to-end trainer equivalence between the two backends.
+approaches the converged power iteration), the active-set sweep against
+the dense sweep it replaced (zero tolerance, float64 state), the
+``SparsePPRScores`` CSR storage (lookup / select / densify / degree
+normalization), and end-to-end trainer equivalence between the two
+backends.
 """
+
+import contextlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +19,12 @@ from hypothesis import strategies as st
 from repro.core import KUCNetConfig, KUCNetRecommender, TrainConfig
 from repro.data import lastfm_like, traditional_split
 from repro.graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
-from repro.ppr import (SparsePPRScores, forward_push_batch,
-                       personalized_pagerank_batch, sparsify_scores)
+from repro.ppr import (SparsePPRScores, forward_push_batch, incremental_push,
+                       personalized_pagerank_batch, push, sparsify_scores)
 from repro.ppr.push import _to_csr, _to_dense
+
+from .reference_ops import reference_sweep_chunk
+from .test_ppr_incremental import _fresh_pairs, _random_graph
 
 
 @pytest.fixture
@@ -111,6 +119,104 @@ class TestForwardPush:
             forward_push_batch(ckg, [0], epsilon=0.0)
         with pytest.raises(ValueError):
             forward_push_batch(ckg, [0], top_m=0)
+
+
+class _BincountSpy:
+    """Stands in for ``numpy`` inside ``repro.ppr.push`` and records the
+    ``minlength`` of every ``bincount``: the chunk's cell count on the
+    dense path, the number of distinct target cells on the sparse one."""
+
+    def __init__(self):
+        self.minlengths = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, *args, **kwargs):
+        self.minlengths.append(kwargs["minlength"])
+        return np.bincount(*args, **kwargs)
+
+
+@contextlib.contextmanager
+def _checked_sweeps():
+    """Check every ``_sweep_chunk`` call against the dense reference.
+
+    The reference runs on copies of the call's input, and the float64
+    estimate and residual, the op count and ``touched`` must be equal
+    with no tolerance.  Yields a counter of the sweeps per path, of the
+    signed calls, and of those that started with a negative residual.
+    """
+    sweep = push._sweep_chunk
+    spy = _BincountSpy()
+    taken = Counter()
+
+    def checked(ckg, estimate, residual, *args, signed=False, touched=None):
+        taken["signed"] += signed
+        taken["negative"] += bool((residual < 0).any())
+        expected = [estimate.copy(), residual.copy(),
+                    None if touched is None else touched.copy()]
+        want = reference_sweep_chunk(ckg, expected[0], expected[1], *args,
+                                     signed=signed, touched=expected[2])
+        first = len(spy.minlengths)
+        ops = sweep(ckg, estimate, residual, *args, signed=signed,
+                    touched=touched)
+        for minlength in spy.minlengths[first:]:
+            taken["dense" if minlength == residual.size else "sparse"] += 1
+        assert ops == want
+        assert np.array_equal(estimate, expected[0])
+        assert np.array_equal(residual, expected[1])
+        if touched is not None:
+            assert np.array_equal(touched, expected[2])
+        return ops
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(push, "np", spy)
+        patch.setattr(push, "_sweep_chunk", checked)
+        yield taken
+
+
+@pytest.fixture(scope="module")
+def lastfm_ckg():
+    dataset = lastfm_like(seed=0, scale=0.3)
+    return dataset.build_ckg(traditional_split(dataset, seed=0).train)
+
+
+class TestSweepOracle:
+    """The active-set sweep is bitwise the dense sweep, on both paths.
+
+    The float32 CSR outputs would hide a change in float64 summation
+    order, so the oracle compares the solver's float64 chunk state.
+    """
+
+    def test_restart_chunks(self, lastfm_ckg):
+        with _checked_sweeps() as taken:
+            forward_push_batch(lastfm_ckg, range(lastfm_ckg.num_users),
+                               chunk_users=64, keep_residuals=True)
+        assert taken["sparse"] > 0 and taken["dense"] > 0
+
+    @pytest.mark.parametrize("chunk, interactions", [(4, 6), (64, 30)])
+    def test_signed_chunks_after_corrections(self, lastfm_ckg, chunk,
+                                             interactions):
+        users = range(lastfm_ckg.num_users)
+        base = forward_push_batch(lastfm_ckg, users, chunk_users=64,
+                                  keep_residuals=True)
+        pairs = _fresh_pairs(lastfm_ckg, seed=3, count=interactions)
+        with _checked_sweeps() as taken:
+            incremental_push(lastfm_ckg, base, pairs, chunk_users=chunk)
+        assert taken["signed"] > 0 and taken["negative"] > 0
+        assert taken["sparse"] > 0 and taken["dense"] > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), chunk=st.integers(1, 7),
+           epsilon=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-6]))
+    def test_random_graphs(self, seed, chunk, epsilon):
+        _, _, graph = _random_graph(seed)
+        users = range(graph.num_users)
+        with _checked_sweeps():
+            base = forward_push_batch(graph, users, epsilon=epsilon,
+                                      chunk_users=chunk, keep_residuals=True)
+            incremental_push(graph, base, _fresh_pairs(graph, seed, 2),
+                             chunk_users=chunk)
 
 
 class TestSparseScores:

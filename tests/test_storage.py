@@ -29,8 +29,8 @@ from repro.ppr import (SparsePPRScores, forward_push_batch,
                        forward_push_sharded, incremental_push,
                        personalized_pagerank_batch,
                        personalized_pagerank_mmap)
-from repro.storage import (STORE_ENV_VAR, ShardedPPRScores, ShardWriter,
-                           resolve_store)
+from repro.storage import (MANIFEST_NAME, STORE_ENV_VAR, ShardedPPRScores,
+                           ShardWriter, resolve_store)
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +378,64 @@ class TestCrashConsistency:
         reopened = ShardedPPRScores(store.directory)
         assert reopened.manifest["version"] == 1
         self._assert_same(self._arrays(reopened), after)
+
+    @staticmethod
+    def _resolve(ckg, store, users):
+        """Solve ``users`` again over ``store``'s directory."""
+        return forward_push_sharded(
+            ckg, users, store.directory, chunk_users=8,
+            keep_residuals=True, overwrite=True)
+
+    @staticmethod
+    def _listed_files(store):
+        """The manifest plus every file it names."""
+        manifest = store.manifest
+        return {MANIFEST_NAME, manifest["users_file"]}.union(
+            *(entry["files"].values() for entry in manifest["shards"]))
+
+    def test_failed_resolve_replace_keeps_previous_version(
+            self, ckg, store, monkeypatch):
+        before = self._arrays(store)
+        monkeypatch.setattr(os, "replace", _refuse)
+        with pytest.raises(OSError, match="injected failure"):
+            self._resolve(ckg, store, list(reversed(range(24))))
+        monkeypatch.undo()
+        reopened = ShardedPPRScores(store.directory)
+        assert reopened.manifest["version"] == 0
+        self._assert_same(self._arrays(reopened), before)
+        self._assert_same(self._arrays(store), before)
+
+    def test_resolve_checks_every_user_before_writing(self, ckg, store):
+        before = self._arrays(store)
+        files = sorted(os.listdir(store.directory))
+        with pytest.raises(ValueError, match="out of range"):
+            self._resolve(ckg, store,
+                          list(reversed(range(23))) + [ckg.num_users])
+        assert sorted(os.listdir(store.directory)) == files
+        self._assert_same(self._arrays(ShardedPPRScores(store.directory)),
+                          before)
+        self._assert_same(self._arrays(store), before)
+
+    def test_resolve_is_a_new_version_and_drops_the_old_files(
+            self, ckg, store, tmp_path):
+        maintained = self._rewrite("incremental_push", ckg, store)
+        assert maintained.manifest["version"] == 1
+        users = list(reversed(range(24)))
+        resolved = self._resolve(ckg, maintained, users)
+        assert resolved.manifest["version"] == 2
+        assert set(os.listdir(store.directory)) == \
+            self._listed_files(resolved)
+        fresh = forward_push_sharded(
+            ckg, users, str(tmp_path / "fresh"), chunk_users=8,
+            keep_residuals=True)
+        assert fresh.manifest["users_file"] == "users.npy"
+        assert all(name.startswith("shard_") and "_v0." in name
+                   for entry in fresh.manifest["shards"]
+                   for name in entry["files"].values())
+        self._assert_same(self._arrays(resolved), self._arrays(fresh))
+        again = self._rewrite("incremental_push", ckg, resolved)
+        assert again.manifest["version"] == 3
+        assert set(os.listdir(store.directory)) == self._listed_files(again)
 
 
 # ----------------------------------------------------------------------

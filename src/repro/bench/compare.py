@@ -43,7 +43,8 @@ GATED_HISTOGRAM_MAX = ("autodiff.tape_bytes",)
 
 #: counters surfaced in trend-report tables when present
 _TREND_COUNTERS = ("ppr.push_ops", "ppr.sweeps", "ppr.edges_kept",
-                   "ppr.incremental_pushes", "graph.edges",
+                   "ppr.incremental_pushes", "ppr.incremental_rows",
+                   "graph.edges",
                    "serve.requests", "serve.cache_hits",
                    "autodiff.gather_rows",
                    "autodiff.segment_sum", "autodiff.fused_calls")

@@ -31,6 +31,9 @@ INTERACT_RELATION = 0
 
 CKG_META_NAME = "ckg_meta.json"
 _CKG_ARRAYS = ("heads", "relations", "tails", "indptr", "item_nodes")
+#: the integer sizes saved in the meta JSON next to the arrays
+_CKG_SIZES = ("num_users", "num_items", "num_entities", "num_base_relations",
+              "num_kg_relations", "num_user_relations", "num_nodes")
 
 
 class CollaborativeKG:
@@ -192,12 +195,14 @@ class CollaborativeKG:
         """New CKG with ``(user, item)`` interactions appended.
 
         The online-serving delta: each pair contributes an ``interact``
-        edge plus its reverse twin, the node space is unchanged (items
-        and users already have nodes), and the edge arrays are re-sorted
-        into CSR order by the constructor.  The result is
-        indistinguishable from building the CKG over the union
-        interaction set.  ``self`` is never mutated — callers swap in
-        the returned graph, so readers of the old one stay consistent.
+        edge plus its reverse twin, and the node space is unchanged
+        (items and users already have nodes).  The new edges are
+        inserted at their CSR positions, so the result's arrays are
+        bitwise those of building the CKG over the union interaction
+        set, without re-sorting the existing edges.  The result is an
+        in-RAM :class:`CollaborativeKG`, also for a memory-mapped
+        ``self``, which is never mutated — callers swap in the returned
+        graph, so readers of the old one stay consistent.
 
         Duplicate interactions (within the batch or against the existing
         graph) raise ``ValueError`` naming the offending pair.
@@ -219,17 +224,38 @@ class CollaborativeKG:
         users = pair_array[:, 0]
         item_tails = self.item_nodes[pair_array[:, 1]]
         interact = np.full(users.size, INTERACT_RELATION, dtype=np.int64)
-        heads = np.concatenate([self.heads, users, item_tails])
-        rels = np.concatenate([self.relations, interact,
-                               interact + self.num_base_relations])
-        tails = np.concatenate([self.tails, item_tails, users])
+        heads = np.concatenate([users, item_tails])
+        rels = np.concatenate([interact, interact + self.num_base_relations])
+        tails = np.concatenate([item_tails, users])
+        # sorted, so edges inserted at one position land in CSR order
+        order = np.lexsort((tails, rels, heads))
+        heads, rels, tails = heads[order], rels[order], tails[order]
 
-        updated = CollaborativeKG(
-            self.num_users, self.num_items, self.num_entities,
-            self.num_base_relations, self.item_nodes,
-            heads, rels, tails, self.num_nodes)
-        updated.num_kg_relations = self.num_kg_relations
-        updated.num_user_relations = self.num_user_relations
+        # Each new edge's position in its head's CSR range, whose
+        # (relation, tail) keys ascend: one searchsorted over the ranges
+        # of the heads written to, keyed by (head rank, relation, tail).
+        written, rank = np.unique(heads, return_inverse=True)
+        starts = self.indptr[written]
+        degrees = self.indptr[written + 1] - starts
+        edge_ids = self.out_edge_ids(written)
+        span = np.int64(self.num_relations) * self.num_nodes
+        keys = (np.repeat(np.arange(written.size), degrees) * span
+                + self.relations[edge_ids] * np.int64(self.num_nodes)
+                + self.tails[edge_ids])
+        new_keys = rank * span + rels * np.int64(self.num_nodes) + tails
+        offsets = np.cumsum(degrees) - degrees
+        at = starts[rank] + np.searchsorted(keys, new_keys) - offsets[rank]
+
+        updated = object.__new__(CollaborativeKG)
+        for name in _CKG_SIZES + ("num_relations", "item_nodes",
+                                  "_item_node_to_item"):
+            setattr(updated, name, getattr(self, name))
+        updated.heads = np.insert(np.asarray(self.heads), at, heads)
+        updated.relations = np.insert(np.asarray(self.relations), at, rels)
+        updated.tails = np.insert(np.asarray(self.tails), at, tails)
+        updated.num_edges = int(updated.heads.size)
+        counts = np.bincount(heads, minlength=self.num_nodes)
+        updated.indptr = self.indptr + np.concatenate([[0], np.cumsum(counts)])
         return updated
 
     # ------------------------------------------------------------------
@@ -341,15 +367,8 @@ class CollaborativeKG:
         for name in _CKG_ARRAYS:
             np.save(os.path.join(directory, f"{name}.npy"),
                     getattr(self, name))
-        meta = {
-            "format": "repro-ckg-npy",
-            "num_users": self.num_users, "num_items": self.num_items,
-            "num_entities": self.num_entities,
-            "num_base_relations": self.num_base_relations,
-            "num_kg_relations": self.num_kg_relations,
-            "num_user_relations": self.num_user_relations,
-            "num_nodes": self.num_nodes,
-        }
+        meta = {"format": "repro-ckg-npy"}
+        meta.update((name, int(getattr(self, name))) for name in _CKG_SIZES)
         tmp = os.path.join(directory, CKG_META_NAME + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(meta, handle, indent=1, sort_keys=True)
@@ -381,14 +400,9 @@ class MmapCollaborativeKG(CollaborativeKG):
             meta = json.load(handle)
         if meta.get("format") != "repro-ckg-npy":
             raise ValueError(f"{directory} does not hold a saved CKG")
-        self.num_users = int(meta["num_users"])
-        self.num_items = int(meta["num_items"])
-        self.num_entities = int(meta["num_entities"])
-        self.num_base_relations = int(meta["num_base_relations"])
+        for name in _CKG_SIZES:
+            setattr(self, name, int(meta[name]))
         self.num_relations = 2 * self.num_base_relations
-        self.num_kg_relations = int(meta["num_kg_relations"])
-        self.num_user_relations = int(meta["num_user_relations"])
-        self.num_nodes = int(meta["num_nodes"])
         mode = "r" if self.mmap else None
         for name in _CKG_ARRAYS:
             path = os.path.join(directory, f"{name}.npy")

@@ -36,7 +36,10 @@ invariant after new interactions arrive — per inserted edge ``(h, t)``
 with prior out-degree ``d(h)`` it folds the estimate mass already pushed
 through ``h`` into adjusted ``p`` / ``r`` terms (Zhang, Lofgren & Goel,
 KDD 2016) and then resumes pushing only the displaced residual, instead
-of recomputing every user from scratch.
+of recomputing every user from scratch.  Only the score rows a write can
+move — a non-zero estimate at an inserted head, or a stored residual
+above its new threshold — are densified, re-swept and re-encoded; every
+other row is carried as stored.
 """
 
 from __future__ import annotations
@@ -160,9 +163,8 @@ class SparsePPRScores:
         if not self.has_residuals:
             raise ValueError(
                 "scores were computed without keep_residuals=True")
-        row = self._row(user)
-        return _to_dense(self.res_indptr[row:row + 2], self.res_node_ids,
-                         self.res_values, self.num_nodes, np.float32)[0]
+        return _to_dense(self.res_indptr, self.res_node_ids, self.res_values,
+                         self.num_nodes, [self._row(user)], np.float32)[0]
 
     # ------------------------------------------------------------------
     def lookup(self, slots: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -213,14 +215,13 @@ class SparsePPRScores:
 
     def for_user(self, user: int) -> np.ndarray:
         """Densified score vector over all nodes for ``user``."""
-        row = self._row(user)
-        return _to_dense(self.indptr[row:row + 2], self.node_ids,
-                         self.values, self.num_nodes, np.float32)[0]
+        return _to_dense(self.indptr, self.node_ids, self.values,
+                         self.num_nodes, [self._row(user)], np.float32)[0]
 
     def toarray(self) -> np.ndarray:
         """Full dense ``(num_rows, num_nodes)`` float32 matrix."""
         return _to_dense(self.indptr, self.node_ids, self.values,
-                         self.num_nodes, np.float32)
+                         self.num_nodes, dtype=np.float32)
 
     def select(self, users: Sequence[int]) -> "SparsePPRScores":
         """Row subset for ``users`` (cheap CSR slice; rows realign to input).
@@ -239,20 +240,11 @@ class SparsePPRScores:
                 f"structure holds {self.num_rows} rows")
         rows = np.asarray([self._row_of[int(u)] for u in users],
                           dtype=np.int64)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        new_indptr = np.concatenate([[0], np.cumsum(lengths)])
-        total = int(new_indptr[-1])
-        if total:
-            offsets = np.repeat(new_indptr[:-1], lengths)
-            gather = (np.repeat(starts, lengths)
-                      + np.arange(total, dtype=np.int64) - offsets)
-        else:
-            gather = np.empty(0, dtype=np.int64)
+        indptr, positions = _row_gather(self.indptr, rows)
         return SparsePPRScores(
             users=self.users[rows], num_nodes=self.num_nodes,
-            indptr=new_indptr, node_ids=self.node_ids[gather],
-            values=self.values[gather], residual=self.residual)
+            indptr=indptr, node_ids=self.node_ids[positions],
+            values=self.values[positions], residual=self.residual)
 
     def normalize_by_degree(self, degrees: np.ndarray) -> None:
         """Divide stored values by ``max(deg(node), 1)`` in place.
@@ -401,15 +393,34 @@ def _to_csr(dense: np.ndarray, top_m: Optional[int] = None
     return indptr, flat % num_nodes, flat_dense[flat].astype(np.float32)
 
 
+def _row_gather(indptr: np.ndarray, rows: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, positions)`` of the CSR rows ``rows``, in that order.
+
+    ``rows`` may repeat and come in any order; the entry arrays indexed
+    by ``positions`` hold the rows' entries, each row's in stored order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    new_indptr = np.concatenate([[0], np.cumsum(lengths)])
+    positions = (np.repeat(starts - new_indptr[:-1], lengths)
+                 + np.arange(new_indptr[-1], dtype=np.int64))
+    return new_indptr, positions
+
+
 def _to_dense(indptr: np.ndarray, node_ids: np.ndarray, values: np.ndarray,
-              num_nodes: int, dtype=np.float64) -> np.ndarray:
+              num_nodes: int, rows: Optional[Sequence[int]] = None,
+              dtype=np.float64) -> np.ndarray:
     """Dense ``(rows, num_nodes)`` block of CSR rows (inverse of
-    :func:`_to_csr`).  ``indptr`` may be a row range of longer arrays."""
-    lo, hi = indptr[0], indptr[-1]
+    :func:`_to_csr`): every row, or only ``rows``, in their order."""
+    if rows is not None:
+        indptr, positions = _row_gather(indptr, rows)
+        node_ids, values = node_ids[positions], values[positions]
     num_rows = indptr.size - 1
     row_starts = np.repeat(np.arange(num_rows) * num_nodes, np.diff(indptr))
     dense = np.zeros(num_rows * num_nodes, dtype=dtype)
-    dense[row_starts + node_ids[lo:hi]] = values[lo:hi]
+    dense[row_starts + node_ids] = values
     return dense.reshape(num_rows, num_nodes)
 
 
@@ -744,6 +755,44 @@ def _apply_delta_chunk(new_ckg: CollaborativeKG, estimate: np.ndarray,
     return sweep_ops, touched
 
 
+def _movable_rows(part: SparsePPRScores, is_head: np.ndarray,
+                  thresholds: np.ndarray) -> np.ndarray:
+    """The rows of ``part`` a write can move, ascending.
+
+    A row moves when its stored estimate is non-zero at an inserted head
+    (the correction changes it) or when a stored residual's magnitude
+    exceeds its threshold on the new graph (the resumed sweep's first
+    scan pushes it).  The float32 residual promotes exactly to the
+    float64 threshold, as in that scan.  On every other row the
+    correction adds zeros and the sweep finds nothing to push.
+    """
+    heads = np.flatnonzero(is_head[part.node_ids])
+    heads = heads[part.values[heads] != 0]
+    above = np.flatnonzero(
+        np.abs(part.res_values) > thresholds[part.res_node_ids])
+    return np.union1d(
+        np.searchsorted(part.indptr, heads, side="right") - 1,
+        np.searchsorted(part.res_indptr, above, side="right") - 1)
+
+
+def _splice(part: SparsePPRScores, rows: np.ndarray,
+            block: SparsePPRScores) -> SparsePPRScores:
+    """``part`` with its ``rows`` (ascending) replaced by ``block``'s."""
+    # the rows of part stacked over block's, gathered in part's order
+    source = np.arange(part.num_rows)
+    source[rows] = part.num_rows + np.arange(rows.size)
+    arrays = {}
+    for indptr, node_ids, values in (CSR_FIELDS, RES_FIELDS):
+        old = getattr(part, indptr)
+        stacked = np.concatenate([old, old[-1] + getattr(block, indptr)[1:]])
+        arrays[indptr], positions = _row_gather(stacked, source)
+        for name in (node_ids, values):
+            arrays[name] = np.concatenate(
+                [getattr(part, name), getattr(block, name)])[positions]
+    return SparsePPRScores(users=part.users, num_nodes=part.num_nodes,
+                           alpha=part.alpha, epsilon=part.epsilon, **arrays)
+
+
 def incremental_push(ckg: CollaborativeKG, scores,
                      new_interactions: Sequence[Tuple[int, int]],
                      chunk_users: int = DEFAULT_CHUNK_USERS
@@ -775,9 +824,12 @@ def incremental_push(ckg: CollaborativeKG, scores,
     every score is within ``epsilon * outdeg(v)`` of the true PPR on the
     updated graph (same contract as a from-scratch push).
 
-    Work is proportional to the displaced residual — after a small
-    interaction delta this is a tiny fraction of a from-scratch solve
-    (the ``ppr.incremental_vs_scratch`` benchmark gates exactly that).
+    Only the score rows a write can move are worked on: those with a
+    non-zero estimate at an inserted head, and those holding a stored
+    residual above its new threshold.  Every other row is carried
+    bitwise, so the cost follows the rows the write reaches and the
+    residual it displaces, not the number of users (the
+    ``ppr.incremental_vs_scratch`` benchmark gates the push work).
 
     Parameters
     ----------
@@ -790,15 +842,20 @@ def incremental_push(ckg: CollaborativeKG, scores,
         interactions are rejected by
         :meth:`~repro.graph.ckg.CollaborativeKG.add_interactions`.
     chunk_users:
-        Score rows densified simultaneously (bounds temporary memory).
-        Ignored for sharded scores, whose shards are the chunks.
+        Rows per part of an in-RAM store, which bounds the rows densified
+        at once.  Ignored for sharded scores, whose shards are the parts.
 
     Either store is maintained by the same loop over
-    ``scores.parts(chunk_users)``: each part is densified, corrected and
-    re-swept; the parts whose rows moved are re-encoded and the rest are
-    carried.  ``scores.rewrite`` then stacks the parts (in RAM) or
-    writes only the moved ones as new shard files (sharded), so the
-    input store is never mutated and the result shares no array with it.
+    ``scores.parts(chunk_users)``.  In each part, one vectorized scan of
+    the stored entries finds the movable rows; they are densified,
+    corrected, re-swept and re-encoded, then spliced into the part, and
+    a part without one is carried as it is.  Rows are independent in
+    the correction and the sweep, so every array equals what densifying
+    and re-encoding whole parts gives.  ``scores.rewrite`` then stacks
+    the parts (in RAM) or writes only the moved ones as new shard files
+    (sharded), so the input store is never mutated and the result
+    shares no array with it.  A part's ``residual`` total is restated
+    as the absolute sum of its stored residual rows.
     """
     if not scores.has_residuals:
         raise ValueError(
@@ -821,32 +878,41 @@ def incremental_push(ckg: CollaborativeKG, scores,
         new_ckg = ckg.add_interactions(pairs)
         num_nodes = ckg.num_nodes
         ins_heads, ins_tails, deg_at = _delta_edges(ckg, pairs)
+        is_head = np.zeros(num_nodes, dtype=bool)
+        is_head[ins_heads] = True
         new_degrees = np.diff(new_ckg.indptr)
         inv_degrees = (1.0 - alpha) / np.maximum(new_degrees, 1)
         thresholds = epsilon * new_degrees.astype(np.float64)
         sweep_ops = []
-        changed = []
+        densified = []
+        changed = [np.empty(0, dtype=np.int64)]
 
         def maintained():
             # A generator, so a sharded store writes each part as it
             # arrives and holds one shard in memory at a time.
             for part in scores.parts(chunk_users):
-                estimate = _to_dense(part.indptr, part.node_ids,
-                                     part.values, num_nodes)
-                residual = _to_dense(part.res_indptr, part.res_node_ids,
-                                     part.res_values, num_nodes)
-                ops, touched = _apply_delta_chunk(
-                    new_ckg, estimate, residual, ins_heads, ins_tails,
-                    deg_at, alpha, thresholds, new_degrees, inv_degrees)
-                sweep_ops.append(ops)
-                changed.append(part.users[touched])
-                mass = float(np.abs(residual).sum())
-                if touched.any():
-                    yield _encode_chunk(part.users, estimate, residual,
-                                        mass, alpha, epsilon), True
-                else:
-                    part.residual = mass
-                    yield part, False
+                rows = _movable_rows(part, is_head, thresholds)
+                if rows.size:
+                    densified.append(rows.size)
+                    # a whole part is densified as it lies, without a
+                    # gather, and replaced by its re-encoded block
+                    whole = rows.size == part.num_rows
+                    subset = None if whole else rows
+                    estimate = _to_dense(part.indptr, part.node_ids,
+                                         part.values, num_nodes, subset)
+                    residual = _to_dense(part.res_indptr, part.res_node_ids,
+                                         part.res_values, num_nodes, subset)
+                    ops, touched = _apply_delta_chunk(
+                        new_ckg, estimate, residual, ins_heads, ins_tails,
+                        deg_at, alpha, thresholds, new_degrees, inv_degrees)
+                    sweep_ops.append(ops)
+                    changed.append(part.users[rows[touched]])
+                    block = _encode_chunk(part.users[rows], estimate,
+                                          residual, 0.0, alpha, epsilon)
+                    part = block if whole else _splice(part, rows, block)
+                part.residual = float(
+                    np.abs(part.res_values).sum(dtype=np.float64))
+                yield part, bool(rows.size)
 
         new_scores = scores.rewrite(maintained())
 
@@ -856,6 +922,7 @@ def incremental_push(ckg: CollaborativeKG, scores,
         push_ops = sum(sweep_ops) + int(ins_heads.size)
         telemetry.counter("ppr.push_ops", push_ops)
         telemetry.counter("ppr.incremental_pushes", push_ops)
+        telemetry.counter("ppr.incremental_rows", sum(densified))
         telemetry.gauge("ppr.residual_mass", new_scores.residual)
         telemetry.gauge("ppr.score_bytes", new_scores.nbytes)
 

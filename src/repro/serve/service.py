@@ -55,9 +55,10 @@ class ServeConfig:
     #: items ranked and cached per user; requests may ask for any k <=
     #: this (the cache stores one ranking per user, sliced per request)
     top_k: int = 20
-    #: bound on the per-user LRU result cache
+    #: bound on the per-user LRU result cache (0 caches nothing)
     cache_entries: int = 1024
-    #: score rows densified at once during incremental maintenance
+    #: rows per maintained part of an in-RAM score store, which bounds
+    #: the rows densified at once by incremental maintenance
     chunk_users: int = 64
 
 
@@ -89,6 +90,10 @@ class RecommendationService:
         self.config = config or ServeConfig()
         if self.config.top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if self.config.cache_entries < 0:
+            raise ValueError("cache_entries must be >= 0")
+        if self.config.chunk_users < 1:
+            raise ValueError("chunk_users must be >= 1")
         self._positives = {user: set(items)
                            for user, items in positives.items()}
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()

@@ -19,6 +19,15 @@ The forward-push solver's active-set sweep has an oracle here too:
   chunk and adds one ``bincount`` over chunk x N keys per sweep,
   bitwise equal to ``repro.ppr.push._sweep_chunk`` in estimate,
   residual, op count and touched rows.
+
+Incremental maintenance keeps the whole-part loop it replaced:
+
+* :func:`reference_incremental_push` — densifies, corrects, re-sweeps
+  and re-encodes every part, carrying the parts whose rows did not
+  move; bitwise equal to ``repro.ppr.incremental_push`` in every score
+  and residual array, ``changed_users``, ``push_ops`` and the shards it
+  rewrites.  Only the per-part ``residual`` totals differ, by the
+  float32 rounding of the stored entries.
 """
 
 import numpy as np
@@ -110,3 +119,47 @@ def reference_sweep_chunk(ckg, estimate, residual, thresholds, degrees,
         if touched is not None:
             touched[rows] = True
     return ops
+
+
+def reference_incremental_push(ckg, scores, new_interactions,
+                               chunk_users=64):
+    """``incremental_push`` densifying and re-encoding whole parts."""
+    from repro.ppr.push import (IncrementalPushResult, _apply_delta_chunk,
+                                _delta_edges, _encode_chunk, _to_dense)
+
+    alpha = float(scores.alpha)
+    epsilon = float(scores.epsilon)
+    pairs = [(int(u), int(i)) for u, i in new_interactions]
+    new_ckg = ckg.add_interactions(pairs)
+    num_nodes = ckg.num_nodes
+    ins_heads, ins_tails, deg_at = _delta_edges(ckg, pairs)
+    new_degrees = np.diff(new_ckg.indptr)
+    inv_degrees = (1.0 - alpha) / np.maximum(new_degrees, 1)
+    thresholds = epsilon * new_degrees.astype(np.float64)
+    sweep_ops = []
+    changed = []
+
+    def maintained():
+        for part in scores.parts(chunk_users):
+            estimate = _to_dense(part.indptr, part.node_ids,
+                                 part.values, num_nodes)
+            residual = _to_dense(part.res_indptr, part.res_node_ids,
+                                 part.res_values, num_nodes)
+            ops, touched = _apply_delta_chunk(
+                new_ckg, estimate, residual, ins_heads, ins_tails,
+                deg_at, alpha, thresholds, new_degrees, inv_degrees)
+            sweep_ops.append(ops)
+            changed.append(part.users[touched])
+            mass = float(np.abs(residual).sum())
+            if touched.any():
+                yield _encode_chunk(part.users, estimate, residual,
+                                    mass, alpha, epsilon), True
+            else:
+                part.residual = mass
+                yield part, False
+
+    new_scores = scores.rewrite(maintained())
+    return IncrementalPushResult(
+        ckg=new_ckg, scores=new_scores,
+        changed_users=np.concatenate(changed),
+        push_ops=sum(sweep_ops) + int(ins_heads.size))

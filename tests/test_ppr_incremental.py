@@ -9,15 +9,24 @@ invariant on the updated graph — every maintained score lands within
 the from-scratch operation count.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
-from repro.ppr import (forward_push_batch, incremental_push,
-                       personalized_pagerank_batch)
+from repro.data import lastfm_like, traditional_split
+from repro.graph import (CollaborativeKG, KnowledgeGraph, UserItemGraph,
+                         load_npy)
+from repro.ppr import (SparsePPRScores, concat_sparse_scores,
+                       forward_push_batch, incremental_push,
+                       personalized_pagerank_batch, push)
+from repro.ppr.push import CSR_FIELDS, RES_FIELDS
+from repro.storage import ShardedPPRScores, ShardWriter
+
+from .reference_ops import reference_incremental_push
 
 
 def _random_graph(seed: int):
@@ -70,20 +79,38 @@ def _two_component_ckg():
 
 
 class TestAddInteractions:
-    def test_matches_from_scratch_build(self, ckg):
-        ui = UserItemGraph(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3)])
-        kg = KnowledgeGraph(6, 2,
-                            [(0, 0, 4), (1, 0, 4), (2, 1, 5), (3, 1, 5)])
-        appended = ckg.add_interactions([(2, 0), (0, 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 6),
+           repeat=st.sampled_from(["user", "item", None]),
+           mmap=st.booleans())
+    def test_matches_from_scratch_build(self, seed, count, repeat, mmap):
+        """Inserted edges land where the constructor's sort puts them."""
+        ui, kg, graph = _random_graph(seed)
+        fresh = [(user, item) for user in range(graph.num_users)
+                 for item in range(graph.num_items)
+                 if not graph.has_interaction(user, item)]
+        order = np.random.default_rng(seed).permutation(len(fresh))
+        pairs = [fresh[k] for k in order[:count]]
+        if repeat is not None:
+            # up to three more pairs sharing the first one's user or item
+            fixed = 0 if repeat == "user" else 1
+            pairs += [pair for pair in fresh if pair not in pairs
+                      and pair[fixed] == pairs[0][fixed]][:3]
+        union = set(zip(ui.users.tolist(), ui.items.tolist())) | set(pairs)
         rebuilt = CollaborativeKG.build(
-            UserItemGraph(3, 4, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2),
-                                 (2, 0), (2, 3)]), kg)
-        assert appended.num_edges == ckg.num_edges + 4  # 2 pairs x 2 twins
-        np.testing.assert_array_equal(appended.heads, rebuilt.heads)
-        np.testing.assert_array_equal(appended.tails, rebuilt.tails)
-        np.testing.assert_array_equal(appended.relations, rebuilt.relations)
-        np.testing.assert_array_equal(appended.indptr, rebuilt.indptr)
-        assert ui.num_users == 3  # inputs untouched
+            UserItemGraph(ui.num_users, ui.num_items, sorted(union)), kg)
+        with tempfile.TemporaryDirectory() as directory:
+            if mmap:
+                graph = load_npy(graph.save_npy(directory))
+            appended = graph.add_interactions(pairs)
+        assert type(appended) is CollaborativeKG
+        assert appended.num_edges == graph.num_edges + 2 * len(pairs)
+        for name in ("heads", "relations", "tails", "indptr"):
+            got, want = getattr(appended, name), getattr(rebuilt, name)
+            assert type(got) is np.ndarray
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert ui.num_users == rebuilt.num_users  # inputs untouched
 
     def test_input_graph_not_mutated(self, ckg):
         edges_before = ckg.num_edges
@@ -287,3 +314,185 @@ class TestIncrementalPush:
         other = _two_component_ckg()
         with pytest.raises(ValueError):
             incremental_push(other, base, [(2, 0)])
+
+
+# ----------------------------------------------------------------------
+# Zero-tolerance oracle: the whole-part maintenance loop
+# ----------------------------------------------------------------------
+
+def _sharded(scores, chunk, directory):
+    """``scores`` written as a shard store, one shard per ``chunk`` rows."""
+    writer = ShardWriter(str(directory), scores.num_nodes,
+                         keep_residuals=True)
+    for part in scores.parts(chunk):
+        writer.append(part)
+    return writer.finalize(alpha=scores.alpha, epsilon=scores.epsilon)
+
+
+def _whole(scores):
+    """Either store's rows as one in-RAM structure."""
+    if isinstance(scores, ShardedPPRScores):
+        return concat_sparse_scores(scores.parts())
+    return scores
+
+
+def _shard_counts():
+    counters = telemetry.get_registry().snapshot()["counters"]
+    return [counters.get(name, {}).get("total", 0.0)
+            for name in ("storage.shards_rewritten", "storage.shards_reused")]
+
+
+def _check_against_reference(graph, ours, theirs, pairs, chunk):
+    """Maintain ``ours`` and, by the oracle, ``theirs`` (equal stores);
+    assert the results agree and return ours."""
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        got = incremental_push(graph, ours, pairs, chunk_users=chunk)
+        got_shards = _shard_counts()
+        telemetry.reset()
+        want = reference_incremental_push(graph, theirs, pairs,
+                                          chunk_users=chunk)
+        want_shards = _shard_counts()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert got_shards == want_shards
+    assert got.changed_users.dtype == want.changed_users.dtype
+    assert np.array_equal(got.changed_users, want.changed_users)
+    assert got.push_ops == want.push_ops
+    maintained, oracle = _whole(got.scores), _whole(want.scores)
+    for name in CSR_FIELDS + RES_FIELDS:
+        array, expected = getattr(maintained, name), getattr(oracle, name)
+        assert array.dtype == expected.dtype, name
+        assert np.array_equal(array, expected), name
+    # the totals sum stored float32 entries instead of float64 ones
+    assert abs(got.scores.residual - want.scores.residual) \
+        <= 2.0 ** -24 * want.scores.residual
+    return got, want
+
+
+@pytest.fixture(scope="module")
+def lastfm_graph():
+    dataset = lastfm_like(seed=0, scale=0.3)
+    return dataset.build_ckg(traditional_split(dataset, seed=0).train)
+
+
+class TestMaintenanceOracle:
+    """Row-restricted maintenance is the whole-part loop, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [4, 64])
+    @pytest.mark.parametrize("count", [1, 30])
+    def test_lastfm_chains(self, lastfm_graph, tmp_path, chunk, count):
+        base = forward_push_batch(lastfm_graph,
+                                  range(lastfm_graph.num_users),
+                                  chunk_users=chunk, keep_residuals=True)
+        stores = {"ram": (base, base),
+                  "mmap": (_sharded(base, chunk, tmp_path / "ours"),
+                           _sharded(base, chunk, tmp_path / "oracle"))}
+        graph = lastfm_graph
+        for step in range(3):
+            pairs = _fresh_pairs(graph, seed=step, count=count)
+            results = {}
+            for store, (ours, theirs) in stores.items():
+                got, want = _check_against_reference(graph, ours, theirs,
+                                                     pairs, chunk)
+                stores[store] = (got.scores, want.scores)
+                results[store] = got
+            assert results["ram"].scores.residual \
+                == results["mmap"].scores.residual
+            graph = results["ram"].ckg
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), chunk=st.integers(1, 7),
+           count=st.integers(0, 3),
+           epsilon=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-6]))
+    def test_random_graphs(self, seed, chunk, count, epsilon):
+        ui, kg, _ = _random_graph(seed)
+        # one more user without interactions: an inserted head whose
+        # out-degree is 0 until the write
+        idle = ui.num_users
+        graph = CollaborativeKG.build(
+            UserItemGraph(idle + 1, ui.num_items,
+                          zip(ui.users.tolist(), ui.items.tolist())), kg)
+        pairs = [(idle, seed % ui.num_items)] + [
+            pair for pair in _fresh_pairs(graph, seed, count)
+            if pair[0] != idle]
+        base = forward_push_batch(graph, range(graph.num_users),
+                                  epsilon=epsilon, chunk_users=chunk,
+                                  keep_residuals=True)
+        with tempfile.TemporaryDirectory() as directory:
+            ram, _ = _check_against_reference(graph, base, base, pairs,
+                                              chunk)
+            mmap, _ = _check_against_reference(
+                graph, _sharded(base, chunk, f"{directory}/ours"),
+                _sharded(base, chunk, f"{directory}/oracle"), pairs, chunk)
+        assert ram.scores.residual == mmap.scores.residual
+        assert idle in ram.changed_users
+
+    @pytest.mark.parametrize("store", ["ram", "mmap"])
+    def test_planted_residual_above_threshold_is_pushed(self, store,
+                                                        tmp_path):
+        """A row the write's heads never reach still moves when a stored
+        residual sits above its threshold: the sweep's first scan of the
+        whole-part loop pushes it."""
+        graph = _two_component_ckg()
+        base = forward_push_batch(graph, range(4), epsilon=1e-5,
+                                  chunk_users=2, keep_residuals=True)
+        pairs = [(0, 1)]  # inside users {0, 1}'s component
+        heads = np.asarray([0, int(graph.item_nodes[1])])
+        user = 2
+        assert not base.lookup([user, user], heads).any()
+        entry = int(base.res_indptr[user])
+        assert entry < base.res_indptr[user + 1]
+        node = int(base.res_node_ids[entry])
+        threshold = base.epsilon * np.diff(
+            graph.add_interactions(pairs).indptr)[node]
+        planted = np.float32(threshold)
+        if planted <= threshold:
+            planted = np.nextafter(planted, np.float32(np.inf))
+        res_values = base.res_values.copy()
+        res_values[entry] = planted
+        scores = SparsePPRScores(
+            users=base.users, num_nodes=base.num_nodes, indptr=base.indptr,
+            node_ids=base.node_ids, values=base.values,
+            res_indptr=base.res_indptr, res_node_ids=base.res_node_ids,
+            res_values=res_values, alpha=base.alpha, epsilon=base.epsilon)
+        if store == "mmap":
+            ours = _sharded(scores, 2, tmp_path / "ours")
+            theirs = _sharded(scores, 2, tmp_path / "oracle")
+        else:
+            ours = theirs = scores
+        got, want = _check_against_reference(graph, ours, theirs, pairs, 2)
+        assert user in want.changed_users
+        assert user in got.changed_users
+
+    @pytest.mark.parametrize("store", ["ram", "mmap"])
+    def test_densifies_only_the_rows_a_write_moves(self, store, tmp_path,
+                                                   monkeypatch):
+        graph = _two_component_ckg()
+        base = forward_push_batch(graph, range(4), epsilon=1e-5,
+                                  chunk_users=4, keep_residuals=True)
+        scores = base if store == "ram" else _sharded(base, 4, tmp_path)
+        densified = []
+        apply_delta = push._apply_delta_chunk
+
+        def spy(new_ckg, estimate, *args):
+            densified.append(estimate.shape[0])
+            return apply_delta(new_ckg, estimate, *args)
+
+        monkeypatch.setattr(push, "_apply_delta_chunk", spy)
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            result = incremental_push(graph, scores, [(0, 1)],
+                                      chunk_users=4)
+            counters = telemetry.get_registry().snapshot()["counters"]
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        # the one part holds users 0-3; the write moves a strict subset
+        assert 0 < result.changed_users.size < 4
+        assert sum(densified) == result.changed_users.size
+        assert counters["ppr.incremental_rows"]["total"] \
+            == result.changed_users.size

@@ -106,6 +106,23 @@ class TestService:
         with pytest.raises(ValueError, match="k must be"):
             service.recommend([0], k=0)
 
+    @pytest.mark.parametrize("config, message", [
+        ({"cache_entries": -1}, "cache_entries"),
+        ({"chunk_users": 0}, "chunk_users"),
+    ])
+    def test_config_that_fails_every_request_is_rejected(self, config,
+                                                         message):
+        # accepted, either would fail every cache miss (cache_entries)
+        # or every write (chunk_users) once serving
+        with pytest.raises(ValueError, match=message):
+            _stub_service(**config)
+
+    def test_zero_cache_entries_still_answers(self):
+        service = _stub_service(cache_entries=0)
+        rankings = service.recommend([0, 1])
+        assert len(rankings) == 2
+        assert service.cached_users() == set()
+
     def test_requires_residuals(self):
         ui = UserItemGraph(2, 2, [(0, 0), (1, 1)])
         kg = KnowledgeGraph(3, 1, [(0, 0, 2)])

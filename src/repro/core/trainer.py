@@ -99,11 +99,6 @@ class TrainConfig:
     #: mass is confounded by global popularity.  Markedly better in the
     #: new-item setting (see EXPERIMENTS.md).
     ppr_degree_normalized: bool = True
-    #: bound on the per-batch computation-graph cache (LRU eviction).
-    #: Batches have stable membership across epochs (only their *order*
-    #: is permuted), so any bound >= the number of batches per epoch
-    #: gives a 100% hit rate from epoch 2 on.
-    graph_cache_entries: int = 64
     #: worker processes for per-user-chunk fan-out (PPR precompute).
     #: ``None`` defers to ``$REPRO_NUM_WORKERS``; 1 is the serial fast
     #: path with zero pool overhead.  Results are bitwise-identical
@@ -153,6 +148,8 @@ class KUCNetRecommender:
         self.ppr_seconds: float = 0.0
         self._graph_cache: "OrderedDict[Tuple[int, ...], ComputationGraph]" = \
             OrderedDict()
+        #: LRU bound: the batch count of the last planned epoch
+        self._graph_cache_entries: int = 1
         self.graph_cache_hits: int = 0
         self.graph_cache_misses: int = 0
         self._rng = np.random.default_rng(self.train_config.seed)
@@ -187,6 +184,7 @@ class KUCNetRecommender:
                 self.ppr_scores.normalize_by_degree(degrees)
         self.model = KUCNet(self.ckg.num_relations, self.model_config)
         self._graph_cache.clear()
+        self._graph_cache_entries = 1
         self.graph_cache_hits = 0
         self.graph_cache_misses = 0
         self._split = split
@@ -410,11 +408,14 @@ class KUCNetRecommender:
         permutation over users per epoch) would make every epoch's
         batch tuples unique, so the per-batch graph cache of
         `_graph_for` would never hit and grow by one graph per batch
-        per epoch, unbounded on long runs.
+        per epoch, unbounded on long runs.  The cache is bounded by this
+        epoch's batch count, so it holds every batch's graph into the
+        next epoch.
         """
         config = self.train_config
         batches = [tuple(train_users[start:start + config.batch_users])
                    for start in range(0, len(train_users), config.batch_users)]
+        self._graph_cache_entries = max(1, len(batches))
         order = self._rng.permutation(len(batches))
         return [batches[index] for index in order]
 
@@ -468,12 +469,12 @@ class KUCNetRecommender:
             # membership is a binary search.  The attempt cap guards the
             # pathological user whose positives cover the whole pool —
             # unbounded resampling would never terminate there.
-            collides = np.isin(negatives, user_positives)
+            collides = _in_sorted(negatives, user_positives)
             attempts = 0
             while collides.any() and attempts < MAX_NEGATIVE_RESAMPLES:
                 negatives[collides] = pool[self._rng.integers(
                     pool.size, size=int(collides.sum()))]
-                collides = np.isin(negatives, user_positives)
+                collides = _in_sorted(negatives, user_positives)
                 attempts += 1
             if collides.any():
                 candidates = np.setdiff1d(pool, user_positives)
@@ -511,10 +512,11 @@ class KUCNetRecommender:
 
         Graphs are deterministic for the PPR sampler, so caching across
         epochs is exact; for the random sampler each call resamples.
-        The cache is an LRU bounded by ``graph_cache_entries``
-        (``run_epoch`` keeps batch membership stable, so a bound of at
-        least batches-per-epoch yields a full hit rate from epoch 2 on);
-        ``train.graph_cache_hits`` / ``..._misses`` record its behavior.
+        The cache is an LRU bounded by the batch count of the last epoch
+        :meth:`_epoch_batches` planned (one entry before any); batch
+        membership is stable across epochs, so from epoch 2 on every
+        batch hits.  ``train.graph_cache_hits`` / ``..._misses`` record
+        its behavior.
         """
         if self.train_config.sampler == "random":
             return build_user_centric_graph(
@@ -533,8 +535,7 @@ class KUCNetRecommender:
         self.graph_cache_misses += 1
         telemetry.counter("train.graph_cache_misses")
         self._graph_cache[users] = cached
-        bound = max(1, int(self.train_config.graph_cache_entries))
-        while len(self._graph_cache) > bound:
+        while len(self._graph_cache) > self._graph_cache_entries:
             self._graph_cache.popitem(last=False)
         return cached
 
@@ -687,6 +688,8 @@ class KUCNetRecommender:
         with np.load(path) as archive:
             model_config = json.loads(bytes(archive["config::model"].tobytes()))
             train_config = json.loads(bytes(archive["config::train"].tobytes()))
+            # a deleted TrainConfig field, still in older saved models
+            train_config.pop("graph_cache_entries", None)
             if isinstance(train_config.get("k"), list):
                 train_config["k"] = tuple(train_config["k"])
             state = {key[len("param::"):]: archive[key]
@@ -696,6 +699,16 @@ class KUCNetRecommender:
         recommender.prepare(split)
         recommender.model.load_state_dict(state)
         return recommender
+
+
+def _in_sorted(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_values)`` by binary search; the second
+    array must be sorted ascending."""
+    if sorted_values.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    at = np.searchsorted(sorted_values, values)
+    np.minimum(at, sorted_values.size - 1, out=at)
+    return sorted_values[at] == values
 
 
 def _npz_path(path: str) -> str:

@@ -111,15 +111,21 @@ def personalized_pagerank_batch(ckg: CollaborativeKG, users: Sequence[int],
     # Restart matrix: column k is the one-hot vector of users[k].
     restart = np.zeros((num_nodes, user_array.size))
     restart[user_array, np.arange(user_array.size)] = 1.0
+    restart_mass = alpha * restart
 
-    ranks = restart.copy()
+    # Two iterate buffers: each sweep writes the new iterate over the
+    # spare one, then spends the old iterate on the max-norm update.
+    ranks = restart
+    updated = np.empty_like(ranks)
     residual = np.inf
     with telemetry.span("ppr.power_iteration"):
         sweeps = 0
         for _ in range(iterations):
-            updated = (1.0 - alpha) * (matrix @ ranks) + alpha * restart
-            residual = float(np.abs(updated - ranks).max())
-            ranks = updated
+            np.multiply(1.0 - alpha, matrix @ ranks, out=updated)
+            updated += restart_mass
+            np.subtract(updated, ranks, out=ranks)
+            residual = float(np.abs(ranks, out=ranks).max())
+            ranks, updated = updated, ranks
             sweeps += 1
             if tolerance > 0.0 and residual < tolerance:
                 break

@@ -445,8 +445,18 @@ def _encode_chunk(users: np.ndarray, estimate: np.ndarray,
 DEFAULT_CHUNK_USERS = 64
 
 
-def _check_users(ckg: CollaborativeKG, users: Sequence[int]) -> np.ndarray:
-    """``users`` as an int64 array, or the error naming what is wrong."""
+def _check_solve(ckg: CollaborativeKG, users: Sequence[int], alpha: float,
+                 epsilon: float, top_m: int, chunk_users: int) -> np.ndarray:
+    """``users`` as an int64 array, or the error naming what is wrong
+    with them or with a solver parameter."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if top_m < 1:
+        raise ValueError(f"top_m must be >= 1, got {top_m}")
+    if chunk_users < 1:
+        raise ValueError(f"chunk_users must be >= 1, got {chunk_users}")
     user_array = np.asarray(list(users), dtype=np.int64)
     if user_array.size == 0:
         raise ValueError("users must be non-empty")
@@ -528,6 +538,42 @@ def _sweep_chunk(ckg: CollaborativeKG, estimate: np.ndarray,
     return ops
 
 
+def _push_chunks(ckg: CollaborativeKG, user_array: np.ndarray, alpha: float,
+                 epsilon: float, top_m: int, chunk_users: int,
+                 keep_residuals: bool) -> Iterator[Tuple[int, SparsePPRScores]]:
+    """Solve ``user_array`` chunk by chunk: ``(push ops, scores)`` each.
+
+    The float64 estimate / residual pair is allocated once per solve,
+    ``min(chunk_users, len(user_array))`` rows each.  A chunk runs on the
+    leading ``[:batch]`` rows, which are C-contiguous like a fresh
+    array, and they are zeroed again once the chunk is encoded, so every
+    chunk starts from the state a fresh allocation would give it.  The
+    encoded arrays are new, sharing no memory with the workspace.
+    """
+    num_nodes = ckg.num_nodes
+    degrees = np.diff(ckg.indptr)
+    inv_degrees = (1.0 - alpha) / np.maximum(degrees, 1)
+    # Push v whenever r(v) > epsilon * outdeg(v); dangling nodes push
+    # their restart share once (threshold 0) and never reactivate.
+    thresholds = epsilon * degrees.astype(np.float64)
+    rows = min(chunk_users, user_array.size)
+    estimates = np.zeros((rows, num_nodes))
+    residuals = np.zeros((rows, num_nodes))
+    for start in range(0, user_array.size, chunk_users):
+        chunk = user_array[start:start + chunk_users]
+        batch = chunk.size
+        estimate, residual = estimates[:batch], residuals[:batch]
+        residual[np.arange(batch), chunk] = 1.0
+        pushes = _sweep_chunk(ckg, estimate, residual, thresholds, degrees,
+                              inv_degrees, alpha)
+        yield pushes, _encode_chunk(
+            chunk, estimate, residual if keep_residuals else None,
+            float(residual.sum()), alpha, epsilon,
+            top_m=None if keep_residuals else top_m)
+        estimate.fill(0.0)
+        residual.fill(0.0)
+
+
 def forward_push_batch(ckg: CollaborativeKG, users: Sequence[int],
                        alpha: float = 0.15,
                        epsilon: float = DEFAULT_EPSILON,
@@ -545,7 +591,8 @@ def forward_push_batch(ckg: CollaborativeKG, users: Sequence[int],
     summed per ``row * num_nodes + tail`` target cell.  Only those
     target cells are tested for the next frontier (see
     :func:`_sweep_chunk`), so a sweep costs what it pushes rather than
-    a pass over the chunk, and peak temporary memory is
+    a pass over the chunk.  Every chunk reuses one pair of dense arrays
+    (see :func:`_push_chunks`), so peak temporary memory is
     O(chunk_users x num_nodes) regardless of how many users are
     requested.  Dangling nodes absorb their non-restart mass exactly as
     the column-normalized power iteration does (all-zero columns).
@@ -573,38 +620,14 @@ def forward_push_batch(ckg: CollaborativeKG, users: Sequence[int],
         node an inserted edge touches, so silently dropping entries
         would corrupt later updates.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if top_m < 1:
-        raise ValueError(f"top_m must be >= 1, got {top_m}")
-    if chunk_users < 1:
-        raise ValueError(f"chunk_users must be >= 1, got {chunk_users}")
-    user_array = _check_users(ckg, users)
-
-    num_nodes = ckg.num_nodes
-    degrees = np.diff(ckg.indptr)
-    inv_degrees = (1.0 - alpha) / np.maximum(degrees, 1)
-    # Push v whenever r(v) > epsilon * outdeg(v); dangling nodes push
-    # their restart share once (threshold 0) and never reactivate.
-    thresholds = epsilon * degrees.astype(np.float64)
-
+    user_array = _check_solve(ckg, users, alpha, epsilon, top_m, chunk_users)
     parts = []
     total_pushes = 0
     with telemetry.span("ppr.forward_push"):
-        for start in range(0, user_array.size, chunk_users):
-            chunk = user_array[start:start + chunk_users]
-            batch = chunk.size
-            estimate = np.zeros((batch, num_nodes))
-            residual = np.zeros((batch, num_nodes))
-            residual[np.arange(batch), chunk] = 1.0
-            total_pushes += _sweep_chunk(ckg, estimate, residual, thresholds,
-                                         degrees, inv_degrees, alpha)
-            parts.append(_encode_chunk(
-                chunk, estimate, residual if keep_residuals else None,
-                float(residual.sum()), alpha, epsilon,
-                top_m=None if keep_residuals else top_m))
+        for pushes, part in _push_chunks(ckg, user_array, alpha, epsilon,
+                                         top_m, chunk_users, keep_residuals):
+            total_pushes += pushes
+            parts.append(part)
     scores = concat_sparse_scores(parts)
 
     telemetry.counter("ppr.push_ops", total_pushes)
@@ -633,23 +656,22 @@ def forward_push_sharded(ckg: CollaborativeKG, users: Sequence[int],
     returned :class:`~repro.storage.ShardedPPRScores` are
     bitwise-identical to the in-RAM backend on the same solve.
 
-    Telemetry is additive across the per-chunk solver calls, so
-    ``ppr.push_ops`` / ``ppr.users`` totals match a single serial call;
-    the ``ppr.residual_mass`` / ``ppr.score_bytes`` gauges are restated
+    The ``ppr.push_ops`` / ``ppr.users`` counters are recorded per
+    chunk, with the totals of a single :func:`forward_push_batch` call;
+    the ``ppr.residual_mass`` / ``ppr.score_bytes`` gauges are recorded
     with the whole-run values once the manifest is written.
     """
     from ..storage.sharded import ShardWriter
     # every chunk is checked before the first one is written
-    user_array = _check_users(ckg, users)
+    user_array = _check_solve(ckg, users, alpha, epsilon, top_m, chunk_users)
     writer = ShardWriter(directory, ckg.num_nodes,
                          keep_residuals=keep_residuals, overwrite=overwrite)
     total_residual = 0.0
     with telemetry.span("ppr.forward_push_sharded"):
-        for start in range(0, user_array.size, chunk_users):
-            chunk = user_array[start:start + chunk_users]
-            part = forward_push_batch(
-                ckg, chunk, alpha=alpha, epsilon=epsilon, top_m=top_m,
-                chunk_users=chunk_users, keep_residuals=keep_residuals)
+        for pushes, part in _push_chunks(ckg, user_array, alpha, epsilon,
+                                         top_m, chunk_users, keep_residuals):
+            telemetry.counter("ppr.push_ops", pushes)
+            telemetry.counter("ppr.users", part.num_rows)
             total_residual += part.residual
             writer.append(part)
         store = writer.finalize(alpha=alpha, epsilon=epsilon,

@@ -16,9 +16,10 @@ handling — and adds the serving endpoints:
   service's :meth:`~repro.serve.RecommendationService.stats`
 
 Malformed requests come back as ``400 {"error": ...}`` rather than a
-stack trace; user ids, item ids and ``k`` must be JSON integers (a float,
-infinity or boolean is refused, not truncated).  The CI serve-smoke job
-drives all four endpoints.
+stack trace, also when the JSON nests too deep to decode; user ids, item
+ids and ``k`` must be JSON integers (a float, infinity or boolean is
+refused, not truncated).  The CI serve-smoke job drives all four
+endpoints.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class RecommendationServer(MetricsExporter):
                 raise ValueError("request body must be a JSON object")
             result = handler(body)
             status = 200
-        except (ValueError, KeyError, TypeError) as error:
+        except (ValueError, KeyError, TypeError, RecursionError) as error:
+            # RecursionError: JSON nested deeper than the decoder recurses
             result = {"error": str(error)}
             status = 400
         text = json.dumps(result, sort_keys=True) + "\n"

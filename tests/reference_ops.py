@@ -20,6 +20,14 @@ The forward-push solver's active-set sweep has an oracle here too:
   bitwise equal to ``repro.ppr.push._sweep_chunk`` in estimate,
   residual, op count and touched rows.
 
+and so does the chunk loop around it:
+
+* :func:`reference_forward_push_batch` — allocates a fresh pair of
+  zero arrays for every chunk, bitwise equal to both
+  ``forward_push_batch`` and ``forward_push_sharded`` (which reuse one
+  pair per solve) in every score and residual array, the residual total
+  and the ``ppr.push_ops`` / ``ppr.users`` counters.
+
 Incremental maintenance keeps the whole-part loop it replaced:
 
 * :func:`reference_incremental_push` — densifies, corrects, re-sweeps
@@ -119,6 +127,38 @@ def reference_sweep_chunk(ckg, estimate, residual, thresholds, degrees,
         if touched is not None:
             touched[rows] = True
     return ops
+
+
+def reference_forward_push_batch(ckg, users, alpha=0.15, epsilon=1e-4,
+                                 top_m=256, chunk_users=64,
+                                 keep_residuals=False):
+    """``forward_push_batch`` with fresh zero arrays for every chunk."""
+    from repro import telemetry
+    from repro.ppr.push import (_encode_chunk, _sweep_chunk,
+                                concat_sparse_scores)
+
+    user_array = np.asarray(list(users), dtype=np.int64)
+    num_nodes = ckg.num_nodes
+    degrees = np.diff(ckg.indptr)
+    inv_degrees = (1.0 - alpha) / np.maximum(degrees, 1)
+    thresholds = epsilon * degrees.astype(np.float64)
+    parts = []
+    total_pushes = 0
+    for start in range(0, user_array.size, chunk_users):
+        chunk = user_array[start:start + chunk_users]
+        batch = chunk.size
+        estimate = np.zeros((batch, num_nodes))
+        residual = np.zeros((batch, num_nodes))
+        residual[np.arange(batch), chunk] = 1.0
+        total_pushes += _sweep_chunk(ckg, estimate, residual, thresholds,
+                                     degrees, inv_degrees, alpha)
+        parts.append(_encode_chunk(
+            chunk, estimate, residual if keep_residuals else None,
+            float(residual.sum()), alpha, epsilon,
+            top_m=None if keep_residuals else top_m))
+    telemetry.counter("ppr.push_ops", total_pushes)
+    telemetry.counter("ppr.users", user_array.size)
+    return concat_sparse_scores(parts)
 
 
 def reference_incremental_push(ckg, scores, new_interactions,

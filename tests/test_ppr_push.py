@@ -3,6 +3,7 @@
 Covers the Andersen-Chung-Lang accuracy guarantee (small epsilon
 approaches the converged power iteration), the active-set sweep against
 the dense sweep it replaced (zero tolerance, float64 state), the
+one-workspace chunk loop against the fresh-zeros loop it replaced, the
 ``SparsePPRScores`` CSR storage (lookup / select / densify / degree
 normalization), and end-to-end trainer equivalence between the two
 backends.
@@ -16,14 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core import KUCNetConfig, KUCNetRecommender, TrainConfig
 from repro.data import lastfm_like, traditional_split
 from repro.graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
-from repro.ppr import (SparsePPRScores, forward_push_batch, incremental_push,
-                       personalized_pagerank_batch, push, sparsify_scores)
-from repro.ppr.push import _to_csr, _to_dense
+from repro.ppr import (SparsePPRScores, concat_sparse_scores,
+                       forward_push_batch, forward_push_sharded,
+                       incremental_push, personalized_pagerank_batch, push,
+                       sparsify_scores)
+from repro.ppr.push import CSR_FIELDS, RES_FIELDS, _to_csr, _to_dense
 
-from .reference_ops import reference_sweep_chunk
+from .reference_ops import reference_forward_push_batch, reference_sweep_chunk
 from .test_ppr_incremental import _fresh_pairs, _random_graph
 
 
@@ -217,6 +221,93 @@ class TestSweepOracle:
                                       chunk_users=chunk, keep_residuals=True)
             incremental_push(graph, base, _fresh_pairs(graph, seed, 2),
                              chunk_users=chunk)
+
+
+def _with_counters(solve):
+    """``solve()`` under fresh telemetry: ``(result, counter totals)``."""
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        result = solve()
+        counters = {name: record["total"] for name, record
+                    in telemetry.get_registry().snapshot()["counters"].items()}
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    return result, counters
+
+
+class TestPushWorkspace:
+    """One estimate / residual pair serves every chunk of a solve, and
+    the solve is bitwise the fresh-zeros chunk loop it replaced."""
+
+    @pytest.mark.parametrize("store", ["ram", "mmap"])
+    @pytest.mark.parametrize("keep_residuals", [False, True])
+    @pytest.mark.parametrize("top_m", [8, 256])
+    @pytest.mark.parametrize("num_users, chunk", [
+        (None, 16),   # every user: 60 = 3 x 16 + a partial chunk of 12
+        (5, 64),      # fewer users than chunk_users
+    ])
+    def test_matches_fresh_zeros_loop(self, lastfm_ckg, tmp_path, store,
+                                      keep_residuals, top_m, num_users,
+                                      chunk):
+        graph = lastfm_ckg
+        users = list(range(num_users or graph.num_users))
+        options = dict(epsilon=1e-4, top_m=top_m, chunk_users=chunk,
+                       keep_residuals=keep_residuals)
+        seen = []
+        sweep = push._sweep_chunk
+
+        def spy(ckg, estimate, residual, *args, **kwargs):
+            seen.append((estimate, residual))
+            return sweep(ckg, estimate, residual, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(push, "_sweep_chunk", spy)
+            if store == "ram":
+                got, counters = _with_counters(
+                    lambda: forward_push_batch(graph, users, **options))
+            else:
+                got, counters = _with_counters(
+                    lambda: forward_push_sharded(
+                        graph, users, str(tmp_path / "scores"), **options))
+        want, want_counters = _with_counters(
+            lambda: reference_forward_push_batch(graph, users, **options))
+
+        for name in ("ppr.push_ops", "ppr.users"):
+            assert counters[name] == want_counters[name], name
+        assert got.residual == want.residual
+        parts = [got] if store == "ram" else list(got.parts())
+        assert len(parts) == (1 if store == "ram"
+                              else -(-len(users) // chunk))
+        solved = concat_sparse_scores(parts)
+        assert solved.has_residuals == want.has_residuals == keep_residuals
+        fields = ("users",) + CSR_FIELDS + (RES_FIELDS if keep_residuals
+                                            else ())
+        workspace = [seen[0][0].base, seen[0][1].base]
+        assert workspace[0].shape == workspace[1].shape \
+            == (min(chunk, len(users)), graph.num_nodes)
+        for estimate, residual in seen:
+            assert estimate.base is workspace[0]
+            assert residual.base is workspace[1]
+        for name in fields:
+            array, expected = getattr(solved, name), getattr(want, name)
+            assert array.dtype == expected.dtype, name
+            assert np.array_equal(array, expected), name
+            for part in parts:
+                for buffer in workspace:
+                    assert not np.shares_memory(getattr(part, name),
+                                                buffer), name
+
+    def test_bad_parameters_rejected_before_any_shard(self, lastfm_ckg,
+                                                      tmp_path):
+        directory = tmp_path / "scores"
+        for options in (dict(alpha=0.0), dict(epsilon=0.0), dict(top_m=0),
+                        dict(chunk_users=0)):
+            with pytest.raises(ValueError):
+                forward_push_sharded(lastfm_ckg, [0, 1], str(directory),
+                                     **options)
+        assert not directory.exists()
 
 
 class TestSparseScores:

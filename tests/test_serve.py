@@ -19,6 +19,7 @@ from repro.core import KUCNetConfig, KUCNetRecommender, TrainConfig
 from repro.data import lastfm_like, traditional_split
 from repro.graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
 from repro.ppr import forward_push_batch
+from repro.runstore import exporter as exporter_module
 from repro.serve import (RecommendationServer, RecommendationService,
                          ServeConfig)
 
@@ -302,6 +303,23 @@ class TestHTTP:
         assert "integer" in error["error"]
         assert instance.service.ckg.num_edges == edges
         assert instance.service.interactions_added == 0
+
+    @pytest.mark.parametrize("path", ["/recommend", "/interactions"])
+    def test_deeply_nested_json_is_400(self, server, path):
+        """JSON nested past the decoder's recursion limit, well under the
+        body cap, is answered 400 like any malformed body."""
+        instance, url = server
+        body = "[" * 200_000
+        assert len(body) < exporter_module.MAX_BODY_BYTES
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            _post(f"{url}{path}", body)
+        assert caught.value.code == 400
+        error = json.loads(caught.value.read().decode("utf-8"))
+        assert "error" in error
+        assert instance.service.interactions_added == 0
+        # the server still answers
+        status, _ = _post(f"{url}/recommend", {"users": [0]})
+        assert status == 200
 
     def test_unknown_path_is_404(self, server):
         _, url = server

@@ -1,10 +1,14 @@
 """Tests for KUCNetRecommender internals: caching, pools, PPR normalization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import KUCNetConfig, KUCNetRecommender, TrainConfig
-from repro.core.trainer import MAX_NEGATIVE_RESAMPLES
+from repro.core.trainer import MAX_NEGATIVE_RESAMPLES, _in_sorted
 from repro.data import lastfm_like, new_item_split, traditional_split
 
 
@@ -47,32 +51,87 @@ class TestGraphCache:
         users = split.train.users_with_interactions()
         assert num_batches == int(np.ceil(len(users) / 24))
         assert rec.graph_cache_hits == 29 * num_batches
-        assert len(rec._graph_cache) <= rec.train_config.graph_cache_entries
+        assert len(rec._graph_cache) == num_batches
+
+    def test_every_batch_hits_past_64_batches(self):
+        """Regression: a fixed 64-entry bound evicted graphs an epoch of
+        more than 64 batches still needed, so epoch 2 rebuilt most of
+        them.  Bounded by the epoch's batch count, every batch hits."""
+        split = traditional_split(lastfm_like(seed=0, scale=0.4), seed=0)
+        num_batches = len(split.train.users_with_interactions())
+        assert num_batches > 64
+        rec = KUCNetRecommender(KUCNetConfig(dim=8, depth=2, seed=0),
+                                TrainConfig(epochs=2, k=5, batch_users=1,
+                                            seed=0))
+        rec.fit(split)
+        assert rec.graph_cache_misses == num_batches
+        assert rec.graph_cache_hits == num_batches
+        assert len(rec._graph_cache) == num_batches
 
     def test_cache_respects_tight_bound(self, split):
+        """The bound is the batch count of the last planned epoch: an
+        epoch of two batches no earlier epoch built leaves exactly those
+        two graphs cached."""
         rec = KUCNetRecommender(
             KUCNetConfig(dim=8, depth=2, seed=0),
-            TrainConfig(epochs=3, k=5, batch_users=24,
-                        graph_cache_entries=2, seed=0))
+            TrainConfig(epochs=3, k=5, batch_users=24, seed=0))
         rec.fit(split)
-        assert len(rec._graph_cache) <= 2
-        # the bound forces re-builds, but never lets the cache grow
-        assert rec.graph_cache_misses >= 2
+        users = list(split.train.users_with_interactions())
+        assert len(rec._graph_cache) == int(np.ceil(len(users) / 24))
+        misses = rec.graph_cache_misses
+        shifted = users[1:49]
+        rec.run_epoch(split, rec.optimizer, train_users=shifted)
+        assert rec.graph_cache_misses == misses + 2
+        assert set(rec._graph_cache) == {tuple(shifted[:24]),
+                                         tuple(shifted[24:])}
 
     def test_lru_evicts_oldest_entry(self, split):
         rec = KUCNetRecommender(
             KUCNetConfig(dim=8, depth=2, seed=0),
-            TrainConfig(epochs=1, k=5, graph_cache_entries=2, seed=0))
+            TrainConfig(epochs=1, k=5, batch_users=1, seed=0))
         rec.prepare(split)
-        first = rec._graph_for((0,))
-        rec._graph_for((1,))
-        rec._graph_for((0,))          # refresh (0,) so (1,) is oldest
-        rec._graph_for((2,))          # evicts (1,)
-        assert set(rec._graph_cache) == {(0,), (2,)}
-        assert rec._graph_for((0,)) is first
+        a, b, c = (int(user)
+                   for user in split.train.users_with_interactions()[:3])
+        # two one-user batches: the bound is 2, and both graphs cached
+        rec.run_epoch(split, rec.make_optimizer(), train_users=[a, b])
+        assert set(rec._graph_cache) == {(a,), (b,)}
+        first = rec._graph_for((a,))  # refresh (a,) so (b,) is oldest
+        rec._graph_for((c,))          # evicts (b,)
+        assert set(rec._graph_cache) == {(a,), (c,)}
+        assert rec._graph_for((a,)) is first
+
+    def test_load_ignores_the_retired_bound(self, split, tmp_path):
+        """A model saved while ``graph_cache_entries`` was a config
+        field still loads."""
+        rec = KUCNetRecommender(KUCNetConfig(dim=8, depth=2, seed=0),
+                                TrainConfig(epochs=1, k=5, seed=0))
+        rec.fit(split)
+        path = str(tmp_path / "model.npz")
+        rec.save(path)
+        with np.load(path) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        train = json.loads(payload["config::train"].tobytes())
+        train["graph_cache_entries"] = 64
+        payload["config::train"] = np.frombuffer(
+            json.dumps(train).encode(), dtype=np.uint8)
+        np.savez(path, **payload)
+        loaded = KUCNetRecommender.load(path, split)
+        assert loaded.train_config == rec.train_config
+        for name, value in rec.model.state_dict().items():
+            assert np.array_equal(loaded.model.state_dict()[name], value)
 
 
 class TestNegativePool:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-5, 40), max_size=12),
+           members=st.lists(st.integers(-5, 40), max_size=12))
+    def test_collision_helper_is_isin(self, values, members):
+        values = np.asarray(values, dtype=np.int64)
+        members = np.sort(np.asarray(members, dtype=np.int64))
+        got = _in_sorted(values, members)
+        assert got.dtype == bool
+        assert np.array_equal(got, np.isin(values, members))
+
     def test_negatives_only_from_training_items(self):
         dataset = lastfm_like(seed=0, scale=0.25)
         split = new_item_split(dataset, fold=0, seed=0)

@@ -2,7 +2,8 @@
 
 Public surface:
 
-* :class:`Tensor` — autodiff array.
+* :class:`Tensor` — autodiff array; :func:`no_tape` — record nothing
+  on this thread (forward passes nobody differentiates).
 * :mod:`ops` — functional graph/NN primitives (``gather_rows``,
   ``segment_sum``, ``softmax``, ``bpr_loss``, ...).
 * :class:`Module` / :class:`Parameter` / layers — model building blocks.
@@ -19,11 +20,11 @@ from .ops import (binary_cross_entropy_with_logits, bpr_loss, concat, dropout,
                   gather_rows, l2_penalty, log_sigmoid, mse_loss, segment_max,
                   segment_softmax, segment_sum, softmax, stack, where)
 from .optim import SGD, Adam, Optimizer
-from .tensor import Tensor
+from .tensor import Tensor, no_tape
 
 __all__ = [
-    "Tensor", "Module", "Parameter", "Linear", "Embedding", "Dropout",
-    "Sequential", "ReLU", "Tanh",
+    "Tensor", "no_tape", "Module", "Parameter", "Linear", "Embedding",
+    "Dropout", "Sequential", "ReLU", "Tanh",
     "SGD", "Adam", "Optimizer",
     "gather_rows", "segment_sum", "segment_max", "segment_softmax",
     "concat", "stack", "softmax", "dropout", "log_sigmoid", "bpr_loss",

@@ -47,12 +47,13 @@ size of the intermediate tape nodes it eliminated to
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..telemetry import tracer as _tracer
-from .tensor import Tensor, _unbroadcast, scatter_add_rows
+from .tensor import Tensor, _unbroadcast, scatter_add_rows, stable_sigmoid
 
 __all__ = ["fused_attention_messages", "fused_segment_softmax",
            "fused_gather_mul_segment_sum", "fused_rgcn_messages"]
@@ -62,16 +63,48 @@ def _needs(tensor: Tensor) -> bool:
     return tensor.requires_grad or bool(tensor._parents)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # Must match Tensor.sigmoid bit for bit (same np.where expression).
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
 def _record_fusion(saved_bytes: int) -> None:
     if _tracer.STATE.enabled:
         _tracer.counter("autodiff.fused_calls")
         _tracer.counter("autodiff.fused_saved_bytes", float(saved_bytes))
+
+
+class _Scratch(threading.local):
+    """The calling thread's reusable buffers for ``(E, d)`` temporaries.
+
+    ``fused_attention_messages`` needs at most six such arrays at once
+    (its backward); each slot is a flat float64 buffer grown to the
+    largest call, so a training run stops allocating, and page-faulting,
+    an edge-sized array per temporary once its largest layer has run.
+    Nothing a kernel returns or stores is a view of one.
+    """
+
+    SLOTS = 6
+
+    def __init__(self) -> None:
+        self.buffers = [np.empty(0) for _ in range(self.SLOTS)]
+
+    def array(self, slot: int, shape: Tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        if self.buffers[slot].size < size:
+            self.buffers[slot] = np.empty(size)
+        return self.buffers[slot][:size].reshape(shape)
+
+
+_SCRATCH = _Scratch()
+
+
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[index]`` written into ``out``.
+
+    A raise-mode ``np.take`` with ``out`` gathers into a temporary and
+    copies it over, so the index is range-checked here and the take runs
+    in clip mode, which then never clips.
+    """
+    if index.size and (index.min() < 0 or index.max() >= table.shape[0]):
+        raise IndexError(
+            f"gather index out of range for {table.shape[0]} rows")
+    return np.take(table, index, axis=0, out=out, mode="clip")
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +133,7 @@ def fused_attention_messages(
 
     * ``hidden_prev`` — ``(num_prev, d)`` source-table states;
     * ``src_pos`` / ``relations`` / ``dst_pos`` — per-edge indices;
+      any out of range raises ``IndexError``;
     * ``relation_weight`` — ``(R, d)`` relation-embedding table;
     * ``message_weight`` — ``(d, d)`` message transform ``W``;
     * attention parameters (required when ``use_attention``):
@@ -110,6 +144,10 @@ def fused_attention_messages(
     ``(num_dst, d)`` pre-activation node sum and ``attention`` the
     per-edge weights as a numpy copy — only when ``collect_attention``
     (``None`` otherwise, sparing the ``(E,)`` copy on the hot loop).
+
+    The ``(E, d)`` temporaries of the forward and backward live in the
+    calling thread's scratch buffers, written with ``out=`` by the same
+    operations in the same order as the reference composition.
     """
     src_pos = np.asarray(src_pos, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
@@ -121,15 +159,18 @@ def fused_attention_messages(
     num_edges = src_pos.shape[0]
     dim = hidden_prev.data.shape[1]
     itemsize = hidden_prev.data.dtype.itemsize
+    edge_shape = (num_edges, dim)
+    message_shape = (num_edges, message_weight.data.shape[0])
 
     with _tracer.span("autodiff.fused"):
         hp = hidden_prev.data
         rw = relation_weight.data
         w_msg = message_weight.data
-        h_src = hp[src_pos]
-        h_rel = rw[relations]
-        s = h_src + h_rel
-        m0 = s @ w_msg.swapaxes(-1, -2)
+        h_src = _gather(hp, src_pos, _SCRATCH.array(0, edge_shape))
+        h_rel = _gather(rw, relations, _SCRATCH.array(1, edge_shape))
+        s = np.add(h_src, h_rel, out=_SCRATCH.array(2, edge_shape))
+        m0 = np.matmul(s, w_msg.swapaxes(-1, -2),
+                       out=_SCRATCH.array(3, message_shape))
         alpha: Optional[np.ndarray] = None
         if use_attention:
             w_src = attn_source_weight.data
@@ -137,11 +178,9 @@ def fused_attention_messages(
             pre = ((h_src @ w_src.swapaxes(-1, -2))
                    + (h_rel @ w_rel.swapaxes(-1, -2))) + attn_bias.data
             z = (pre * (pre > 0)) @ attn_vector.data
-            alpha = _stable_sigmoid(z)
-            messages = m0 * alpha.reshape(-1, 1)
-        else:
-            messages = m0
-        out_data = scatter_add_rows(dst_pos, messages, num_dst)
+            alpha = stable_sigmoid(z)
+            m0 *= alpha.reshape(-1, 1)
+        out_data = scatter_add_rows(dst_pos, m0, num_dst)
 
     # Bytes of the reference composition's intermediate tape nodes this
     # single node replaces: h_src/h_rel/s/m0 (and the msg product under
@@ -160,8 +199,7 @@ def fused_attention_messages(
     if use_attention:
         parents += [attn_source_weight, attn_relation_weight,
                     attn_bias, attn_vector]
-    out = Tensor(out_data, parents=tuple(parents))
-    out.requires_grad = Tensor._needs_graph(*parents)
+    out = Tensor(out_data)
 
     def _backward():
         grad_out = out.grad
@@ -170,11 +208,13 @@ def fused_attention_messages(
         w_msg = message_weight.data
         # Recompute the per-edge intermediates instead of storing them:
         # the inputs are alive as graph parents, so the closure holds
-        # nothing beyond the integer index arrays.
-        h_src = hp[src_pos]
-        h_rel = rw[relations]
-        s = h_src + h_rel
-        dm = grad_out[dst_pos]
+        # nothing beyond the integer index arrays.  A slot is reused
+        # once its array is dead: m0's takes grad_s, dm's grad_h_src and
+        # grad_m0's grad_h_rel.
+        h_src = _gather(hp, src_pos, _SCRATCH.array(0, edge_shape))
+        h_rel = _gather(rw, relations, _SCRATCH.array(1, edge_shape))
+        s = np.add(h_src, h_rel, out=_SCRATCH.array(2, edge_shape))
+        dm = _gather(grad_out, dst_pos, _SCRATCH.array(3, message_shape))
         if use_attention:
             w_src = attn_source_weight.data
             w_rel = attn_relation_weight.data
@@ -182,21 +222,28 @@ def fused_attention_messages(
                    + (h_rel @ w_rel.swapaxes(-1, -2))) + attn_bias.data
             mask = pre > 0
             hidden_attn = pre * mask
-            alpha = _stable_sigmoid(hidden_attn @ attn_vector.data)
-            m0 = s @ w_msg.swapaxes(-1, -2)
-            grad_m0 = dm * alpha.reshape(-1, 1)
-            grad_alpha = _unbroadcast(dm * m0, (num_edges, 1)).reshape(num_edges)
+            alpha = stable_sigmoid(hidden_attn @ attn_vector.data)
+            m0 = np.matmul(s, w_msg.swapaxes(-1, -2),
+                           out=_SCRATCH.array(4, message_shape))
+            grad_m0 = np.multiply(dm, alpha.reshape(-1, 1),
+                                  out=_SCRATCH.array(5, message_shape))
+            grad_alpha = _unbroadcast(np.multiply(dm, m0, out=m0),
+                                      (num_edges, 1)).reshape(num_edges)
             grad_z = grad_alpha * alpha * (1.0 - alpha)
             grad_attn = np.outer(grad_z, attn_vector.data) * mask
         else:
             grad_m0 = dm
-        grad_s = grad_m0 @ w_msg
+        grad_s = np.matmul(grad_m0, w_msg, out=_SCRATCH.array(4, edge_shape))
         if _needs(message_weight):
             message_weight._accumulate_grad(
                 (s.swapaxes(-1, -2) @ grad_m0).swapaxes(-1, -2))
         if use_attention:
-            grad_h_src = grad_attn @ w_src + grad_s
-            grad_h_rel = grad_attn @ w_rel + grad_s
+            grad_h_src = np.matmul(grad_attn, w_src,
+                                   out=_SCRATCH.array(3, edge_shape))
+            grad_h_src += grad_s
+            grad_h_rel = np.matmul(grad_attn, w_rel,
+                                   out=_SCRATCH.array(5, edge_shape))
+            grad_h_rel += grad_s
             if _needs(attn_source_weight):
                 attn_source_weight._accumulate_grad(
                     (h_src.swapaxes(-1, -2) @ grad_attn).swapaxes(-1, -2))
@@ -218,12 +265,11 @@ def fused_attention_messages(
         relation_weight._accumulate_grad(
             scatter_add_rows(relations, grad_h_rel, rw.shape[0]))
 
-    out._backward_fn = _backward
     attention_values: Optional[np.ndarray] = None
     if collect_attention:
         attention_values = (alpha.copy() if use_attention
                             else np.ones(num_edges))
-    return out, attention_values
+    return out._record(tuple(parents), _backward), attention_values
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +309,7 @@ def fused_segment_softmax(x: Tensor, segment_ids: np.ndarray,
     # per-edge gather — all eliminated.
     _record_fusion(5 * exp.nbytes + segment_nbytes)
 
-    out = Tensor(out_data, parents=(x,))
-    out.requires_grad = Tensor._needs_graph(x)
+    out = Tensor(out_data)
 
     def _backward():
         grad_out = out.grad
@@ -276,8 +321,7 @@ def fused_segment_softmax(x: Tensor, segment_ids: np.ndarray,
         if _needs(x):
             x._accumulate_grad(grad_exp * exp)
 
-    out._backward_fn = _backward
-    return out
+    return out._record((x,), _backward)
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +374,7 @@ def fused_gather_mul_segment_sum(
     _record_fusion(saved)
 
     parents = (x,) if y is None else (x, y)
-    out = Tensor(out_data, parents=parents)
-    out.requires_grad = Tensor._needs_graph(*parents)
+    out = Tensor(out_data)
 
     def _backward():
         dm = out.grad[segment_ids]
@@ -350,8 +393,7 @@ def fused_gather_mul_segment_sum(
             else:
                 y._accumulate_grad(_unbroadcast(grad_y_rows, y.data.shape))
 
-    out._backward_fn = _backward
-    return out
+    return out._record(parents, _backward)
 
 
 # ----------------------------------------------------------------------
@@ -405,8 +447,7 @@ def fused_rgcn_messages(
     _record_fusion(saved)
 
     parents = (hidden, basis_coeffs) + tuple(basis_weights)
-    out = Tensor(out_data, parents=parents)
-    out.requires_grad = Tensor._needs_graph(*parents)
+    out = Tensor(out_data)
 
     def _backward():
         dm = out.grad[tails]
@@ -431,5 +472,4 @@ def fused_rgcn_messages(
         hidden._accumulate_grad(
             scatter_add_rows(heads, grad_source, hidden.data.shape[0]))
 
-    out._backward_fn = _backward
-    return out
+    return out._record(parents, _backward)

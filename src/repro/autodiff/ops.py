@@ -28,14 +28,12 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     if _tracer.STATE.enabled:
         _tracer.counter("autodiff.gather_rows")
         _tracer.counter("autodiff.gather_rows.rows", indices.size)
-    out = Tensor(x.data[indices], parents=(x,))
-    out.requires_grad = Tensor._needs_graph(x)
+    out = Tensor(x.data[indices])
 
     def _backward():
         x._accumulate_grad(scatter_add_rows(indices, out.grad, x.data.shape[0]))
 
-    out._backward_fn = _backward
-    return out
+    return out._record((x,), _backward)
 
 
 def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -54,14 +52,12 @@ def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     if _tracer.STATE.enabled:
         _tracer.counter("autodiff.segment_sum")
         _tracer.counter("autodiff.segment_sum.rows", segment_ids.size)
-    out = Tensor(scatter_add_rows(segment_ids, x.data, num_segments), parents=(x,))
-    out.requires_grad = Tensor._needs_graph(x)
+    out = Tensor(scatter_add_rows(segment_ids, x.data, num_segments))
 
     def _backward():
         x._accumulate_grad(out.grad[segment_ids])
 
-    out._backward_fn = _backward
-    return out
+    return out._record((x,), _backward)
 
 
 def segment_max(x: Tensor, segment_ids: np.ndarray, num_segments: int, fill: float = -1e30) -> Tensor:
@@ -70,22 +66,19 @@ def segment_max(x: Tensor, segment_ids: np.ndarray, num_segments: int, fill: flo
     out_shape = (num_segments,) + x.data.shape[1:]
     out_data = np.full(out_shape, fill, dtype=x.data.dtype)
     np.maximum.at(out_data, segment_ids, x.data)
-    out = Tensor(out_data, parents=(x,))
-    out.requires_grad = Tensor._needs_graph(x)
+    out = Tensor(out_data)
 
     def _backward():
         mask = (x.data == out_data[segment_ids]).astype(x.data.dtype)
         x._accumulate_grad(mask * out.grad[segment_ids])
 
-    out._backward_fn = _backward
-    return out
+    return out._record((x,), _backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``; backward splits the gradient."""
     tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-    out.requires_grad = Tensor._needs_graph(*tensors)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -96,15 +89,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 slicer[axis] = slice(start, stop)
                 tensor._accumulate_grad(out.grad[tuple(slicer)])
 
-    out._backward_fn = _backward
-    return out
+    return out._record(tuple(tensors), _backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis."""
     tensors = list(tensors)
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-    out.requires_grad = Tensor._needs_graph(*tensors)
+    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
 
     def _backward():
         grads = np.moveaxis(out.grad, axis, 0)
@@ -112,8 +103,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if tensor.requires_grad or tensor._parents:
                 tensor._accumulate_grad(grad)
 
-    out._backward_fn = _backward
-    return out
+    return out._record(tuple(tensors), _backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -121,15 +111,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     out_data = exp / exp.sum(axis=axis, keepdims=True)
-    out = Tensor(out_data, parents=(x,))
-    out.requires_grad = Tensor._needs_graph(x)
+    out = Tensor(out_data)
 
     def _backward():
         dot = (out.grad * out_data).sum(axis=axis, keepdims=True)
         x._accumulate_grad(out_data * (out.grad - dot))
 
-    out._backward_fn = _backward
-    return out
+    return out._record((x,), _backward)
 
 
 def segment_softmax(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

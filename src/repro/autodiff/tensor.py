@@ -13,18 +13,24 @@ Design notes
 * Data is stored as ``float64`` by default.  At the scale of this
   reproduction the extra precision is cheap and makes gradient checking
   tight.
-* Each differentiable operation creates a new :class:`Tensor` whose
-  ``_backward`` closure accumulates gradients into its parents.
-  :meth:`Tensor.backward` runs a topological sort and calls the closures
-  in reverse order.
+* Each differentiable operation creates a new :class:`Tensor` and
+  records it (:meth:`Tensor._record`) with its parents and a
+  ``_backward`` closure that accumulates gradients into them.
+  :meth:`Tensor.backward` runs a topological sort, calls the closures
+  in reverse order and frees each non-leaf node as soon as its closure
+  has run, so a step's tape is released when ``backward`` returns.
+* Inside :func:`no_tape` the calling thread records nothing: ops return
+  constants.  Scoring, evaluation and serving run there.
 * Broadcasting is supported for elementwise binary ops; gradients are
   un-broadcast (summed over expanded axes) before accumulation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from typing import Callable, Iterable, Optional, Sequence, Union
+import threading
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +47,48 @@ def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
             return value.astype(dtype)
         return value
     return np.asarray(value, dtype=dtype)
+
+
+class _TapeState(threading.local):
+    #: False on a thread inside :func:`no_tape`
+    recording = True
+
+
+_TAPE = _TapeState()
+
+
+@contextlib.contextmanager
+def no_tape() -> Iterator[None]:
+    """Record no graph on the calling thread inside the block.
+
+    Ops compute the same values, but their outputs get no parents, no
+    backward closure and ``requires_grad=False``: a forward pass nobody
+    differentiates allocates no tape.  Nests; other threads keep
+    recording.
+    """
+    previous = _TAPE.recording
+    _TAPE.recording = False
+    try:
+        yield
+    finally:
+        _TAPE.recording = previous
+
+
+def _freed_backward() -> None:
+    raise RuntimeError(
+        "backward() reached a node whose graph an earlier backward() "
+        "freed; run the forward pass again to differentiate it again")
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` that never exponentiates a large positive number.
+
+    :meth:`Tensor.sigmoid`, the backward of :meth:`Tensor.softplus` and
+    the fused attention kernel share it, so they agree bit for bit.
+    """
+    decay = np.exp(-np.abs(x))
+    denom = 1.0 + decay
+    return np.where(x >= 0, 1.0 / denom, decay / denom)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -109,29 +157,20 @@ class Tensor:
     requires_grad:
         Whether gradients should be accumulated into this tensor during
         :meth:`backward`.
-    parents:
-        Tensors this one was computed from (internal).
-    backward_fn:
-        Closure that propagates ``self.grad`` into the parents (internal).
     name:
         Optional label used in ``repr`` and error messages.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "name", "__weakref__")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        parents: Iterable["Tensor"] = (),
-        backward_fn: Optional[Callable[[], None]] = None,
-        name: str = "",
-    ):
+    def __init__(self, data: ArrayLike, requires_grad: bool = False,
+                 name: str = ""):
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(parents)
-        self._backward_fn = backward_fn
+        self._parents: Tuple["Tensor", ...] = ()
+        self._backward_fn: Optional[Callable[[], None]] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -181,8 +220,27 @@ class Tensor:
         """Reset the accumulated gradient."""
         self.grad = None
 
+    def _record(self, parents: Tuple["Tensor", ...],
+                backward_fn: Callable[[], None]) -> "Tensor":
+        """Tape ``self`` as computed from ``parents``; returns ``self``.
+
+        ``backward_fn`` accumulates ``self.grad`` into the parents.  Under
+        :func:`no_tape` nothing is kept and ``self`` stays a constant.
+        """
+        if _TAPE.recording:
+            self._parents = parents
+            self.requires_grad = any(t.requires_grad or t._parents
+                                     for t in parents)
+            self._backward_fn = backward_fn
+        return self
+
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
+
+        The graph is consumed: each non-leaf node drops its parents,
+        closure and gradient once its closure has run, so only leaves
+        (parameters, inputs) keep gradients.  A later backward that
+        reaches a freed node raises ``RuntimeError``.
 
         Parameters
         ----------
@@ -225,13 +283,18 @@ class Tensor:
                               sum(node.data.nbytes for node in order))
 
         with _tracer.span("autodiff.backward"):
-            for node in reversed(order):
-                if node._backward_fn is not None and node.grad is not None:
+            # Every consumer of a node sits after it in ``order`` and has
+            # run by the time the node is popped, so the node's gradient,
+            # closure and parents are dead once its own closure returns.
+            while order:
+                node = order.pop()
+                if node._backward_fn is None:
+                    continue
+                if node.grad is not None:
                     node._backward_fn()
-
-    @staticmethod
-    def _needs_graph(*tensors: "Tensor") -> bool:
-        return any(t.requires_grad or t._parents for t in tensors)
+                node._parents = ()
+                node._backward_fn = _freed_backward
+                node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -241,8 +304,7 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
-        out.requires_grad = Tensor._needs_graph(self, other)
+        out = Tensor(self.data + other.data)
 
         def _backward():
             if self.requires_grad or self._parents:
@@ -250,20 +312,17 @@ class Tensor:
             if other.requires_grad or other._parents:
                 other._accumulate_grad(_unbroadcast(out.grad, other.shape))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self, other), _backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(-self.data)
 
         def _backward():
             self._accumulate_grad(-out.grad)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
@@ -273,8 +332,7 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
-        out.requires_grad = Tensor._needs_graph(self, other)
+        out = Tensor(self.data * other.data)
 
         def _backward():
             if self.requires_grad or self._parents:
@@ -282,15 +340,13 @@ class Tensor:
             if other.requires_grad or other._parents:
                 other._accumulate_grad(_unbroadcast(out.grad * self.data, other.shape))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self, other), _backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
-        out.requires_grad = Tensor._needs_graph(self, other)
+        out = Tensor(self.data / other.data)
 
         def _backward():
             if self.requires_grad or self._parents:
@@ -299,8 +355,7 @@ class Tensor:
                 grad_other = -out.grad * self.data / (other.data**2)
                 other._accumulate_grad(_unbroadcast(grad_other, other.shape))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self, other), _backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._coerce(other) / self
@@ -308,14 +363,12 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.data**exponent, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(self.data**exponent)
 
         def _backward():
             self._accumulate_grad(out.grad * exponent * self.data ** (exponent - 1))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     # ------------------------------------------------------------------
     # Linear algebra
@@ -323,8 +376,7 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         """Matrix product ``self @ other`` for 1-D/2-D operands."""
         other = self._coerce(other)
-        out = Tensor(self.data @ other.data, parents=(self, other))
-        out.requires_grad = Tensor._needs_graph(self, other)
+        out = Tensor(self.data @ other.data)
 
         def _backward():
             grad = out.grad
@@ -344,21 +396,18 @@ class Tensor:
                 else:
                     other._accumulate_grad(a.swapaxes(-1, -2) @ grad)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self, other), _backward)
 
     __matmul__ = matmul
 
     def transpose(self) -> "Tensor":
         """Transpose the last two axes."""
-        out = Tensor(self.data.swapaxes(-1, -2), parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(self.data.swapaxes(-1, -2))
 
         def _backward():
             self._accumulate_grad(out.grad.swapaxes(-1, -2))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     @property
     def T(self) -> "Tensor":
@@ -367,21 +416,18 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(self.data.reshape(shape))
 
         def _backward():
             self._accumulate_grad(out.grad.reshape(self.shape))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
 
         def _backward():
             grad = out.grad
@@ -389,8 +435,7 @@ class Tensor:
                 grad = np.expand_dims(grad, axis=axis)
             self._accumulate_grad(np.broadcast_to(grad, self.shape).copy())
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -399,8 +444,7 @@ class Tensor:
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum reduction; gradient flows to the (first) argmax entries."""
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(out_data, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(out_data)
 
         def _backward():
             grad = out.grad
@@ -413,101 +457,82 @@ class Tensor:
             mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate_grad(mask * grad)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     # ------------------------------------------------------------------
     # Nonlinearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        out = Tensor(out_data, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(out_data)
 
         def _backward():
             self._accumulate_grad(out.grad * out_data)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(np.log(self.data))
 
         def _backward():
             self._accumulate_grad(out.grad / self.data)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable: never exponentiates a large positive number.
-        x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(out_data, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out_data = stable_sigmoid(self.data)
+        out = Tensor(out_data)
 
         def _backward():
             self._accumulate_grad(out.grad * out_data * (1.0 - out_data))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-        out = Tensor(out_data, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(out_data)
 
         def _backward():
             self._accumulate_grad(out.grad * (1.0 - out_data**2))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out = Tensor(self.data * mask, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(self.data * mask)
 
         def _backward():
             self._accumulate_grad(out.grad * mask)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value; subgradient sign(x) at 0 is 0."""
         sign = np.sign(self.data)
-        out = Tensor(np.abs(self.data), parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(np.abs(self.data))
 
         def _backward():
             self._accumulate_grad(out.grad * sign)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values into ``[low, high]``; gradient is 1 inside."""
         if low > high:
             raise ValueError(f"clip bounds reversed: {low} > {high}")
         inside = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
-        out = Tensor(np.clip(self.data, low, high), parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(np.clip(self.data, low, high))
 
         def _backward():
             self._accumulate_grad(out.grad * inside)
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)
 
     def minimum(self, other: "Tensor") -> "Tensor":
         """Elementwise minimum; ties route gradient to ``self``."""
         other = self._coerce(other)
         take_self = self.data <= other.data
-        out = Tensor(np.where(take_self, self.data, other.data),
-                     parents=(self, other))
-        out.requires_grad = Tensor._needs_graph(self, other)
+        out = Tensor(np.where(take_self, self.data, other.data))
 
         def _backward():
             mask = take_self.astype(self.data.dtype)
@@ -517,19 +542,15 @@ class Tensor:
                 other._accumulate_grad(
                     _unbroadcast(out.grad * (1.0 - mask), other.shape))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self, other), _backward)
 
     def softplus(self) -> "Tensor":
         """log(1 + exp(x)), computed stably."""
         x = self.data
         out_data = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
-        out = Tensor(out_data, parents=(self,))
-        out.requires_grad = Tensor._needs_graph(self)
+        out = Tensor(out_data)
 
         def _backward():
-            sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-            self._accumulate_grad(out.grad * sig)
+            self._accumulate_grad(out.grad * stable_sigmoid(x))
 
-        out._backward_fn = _backward
-        return out
+        return out._record((self,), _backward)

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
-from ..autodiff import Adam, bpr_loss
+from ..autodiff import Adam, bpr_loss, no_tape
 from ..data import Split
 from ..engine import (EarlyStopping, Engine, EpochCallback, EpochStats,
                       History, ProgressLogger, TelemetryHook)
@@ -545,13 +545,15 @@ class KUCNetRecommender:
 
         ``k`` overrides the pruning budget for this call: pass ``None``
         to score on unpruned user-centric graphs (the ``KUCNet-w.o.-PPR``
-        inference mode of Fig. 6).
+        inference mode of Fig. 6).  Records no autodiff tape.
         """
         if self.model is None:
             raise RuntimeError("fit() or prepare() must be called first")
         self.model.eval()
-        propagation = self.propagate_users(users, k=k)
-        return self.model.score_all_items(propagation, self.ckg.item_nodes)
+        with no_tape():
+            propagation = self.propagate_users(users, k=k)
+            return self.model.score_all_items(propagation,
+                                              self.ckg.item_nodes)
 
     def propagate_users(self, users: Sequence[int],
                         k: Optional[int] = "default",
@@ -582,7 +584,8 @@ class KUCNetRecommender:
 
         This is the direct (expensive) implementation the user-centric
         graph replaces — the ``KUCNet-UI`` bar of Fig. 6.  One propagation
-        per (user, item) pair.
+        per (user, item) pair; like :meth:`score_users`, it records no
+        autodiff tape, so Fig. 6 times both strategies alike.
         """
         from ..sampling import build_ui_computation_graph
 
@@ -591,17 +594,18 @@ class KUCNetRecommender:
         self.model.eval()
         item_list = list(items) if items is not None else list(range(self.ckg.num_items))
         scores = np.zeros((len(users), self.ckg.num_items))
-        for row, user in enumerate(users):
-            for item in item_list:
-                graph = build_ui_computation_graph(self.ckg, int(user), int(item),
-                                                   self.model_config.depth)
-                if graph.layers[-1].num_edges == 0:
-                    continue
-                propagation = self.model.propagate(graph)
-                value = self.model.pair_scores(
-                    propagation, np.zeros(1, dtype=np.int64),
-                    np.asarray([self.ckg.item_node(int(item))]))
-                scores[row, item] = value.data[0]
+        with no_tape():
+            for row, user in enumerate(users):
+                for item in item_list:
+                    graph = build_ui_computation_graph(
+                        self.ckg, int(user), int(item), self.model_config.depth)
+                    if graph.layers[-1].num_edges == 0:
+                        continue
+                    propagation = self.model.propagate(graph)
+                    value = self.model.pair_scores(
+                        propagation, np.zeros(1, dtype=np.int64),
+                        np.asarray([self.ckg.item_node(int(item))]))
+                    scores[row, item] = value.data[0]
         return scores
 
     def count_inference_edges(self, users: Sequence[int],

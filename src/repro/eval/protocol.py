@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry
+from ..autodiff import no_tape
 from ..data import Split
 from ..parallel import resolve_workers, run_parallel
 from .metrics import ndcg_at_n, rank_items, recall_at_n
@@ -51,7 +52,7 @@ def _evaluate_batch(context, batch: Sequence[int]
     and instrument — the exact same code.
     """
     model, split, n, health = context
-    with telemetry.span("eval.score"):
+    with telemetry.span("eval.score"), no_tape():
         scores = model.score_users(batch)
     if scores.shape[0] != len(batch):
         raise ValueError(

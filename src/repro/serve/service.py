@@ -6,10 +6,12 @@ module packages that state behind :class:`RecommendationService` so
 top-K queries are answered online, and keeps it *fresh* as interactions
 arrive:
 
-* **Queries** batch cache misses through one
+* **Queries** score cache misses through
   ``build_user_centric_graph`` → ``propagate`` → ``score_all_items``
-  pass and rank with the same exclusion contract as offline evaluation
-  (``eval.metrics.rank_items`` — training positives never resurface).
+  passes of at most ``config.chunk_users`` users, recording no autodiff
+  tape, and rank with the same exclusion contract as offline
+  evaluation (``eval.metrics.rank_items`` — training positives never
+  resurface).
 * **Results** land in a bounded per-user LRU cache; repeat queries for
   unchanged users are dictionary lookups (``serve.cache_hits``).
 * **Updates** append interactions to the CKG and maintain the sparse
@@ -24,8 +26,8 @@ which would corrupt the push invariant.  Degree normalization is applied
 per-query to the selected rows instead (``select`` returns copies).
 
 All public methods are serialized by one re-entrant lock — correctness
-first; the HTTP layer's threads stay consistent, and queries are batched
-so the lock is held once per request, not per user.
+first; the HTTP layer's threads stay consistent, and the lock is held
+once per request, not per user.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import telemetry
+from ..autodiff import no_tape
 from ..core.trainer import KUCNetRecommender
 from ..data.dataset import Split
 from ..eval.metrics import rank_items
@@ -57,8 +60,9 @@ class ServeConfig:
     top_k: int = 20
     #: bound on the per-user LRU result cache (0 caches nothing)
     cache_entries: int = 1024
-    #: rows per maintained part of an in-RAM score store, which bounds
-    #: the rows densified at once by incremental maintenance
+    #: users the service works on at once: rows per maintained part of an
+    #: in-RAM score store (the rows incremental maintenance densifies at
+    #: once) and cache misses per scoring pass (the users one graph holds)
     chunk_users: int = 64
 
 
@@ -167,9 +171,10 @@ class RecommendationService:
                   k: Optional[int] = None) -> List[np.ndarray]:
         """Top-``k`` item ids per user (excluding known positives).
 
-        Cache misses are scored in one batched model pass; hits are
-        served from the LRU.  ``k`` defaults to ``config.top_k`` and
-        cannot exceed it (the cache stores one ranking per user).
+        Cache misses are scored in model passes of at most
+        ``config.chunk_users`` users; hits are served from the LRU.
+        ``k`` defaults to ``config.top_k`` and cannot exceed it (the
+        cache stores one ranking per user).
         """
         user_list = [int(u) for u in users]
         if not user_list:
@@ -209,6 +214,21 @@ class RecommendationService:
             return [rankings[user][:k].copy() for user in user_list]
 
     def _score_batch(self, users: List[int]) -> List[np.ndarray]:
+        """Rank ``users``' items, ``config.chunk_users`` per model pass.
+
+        A pass's graph, and the fused kernel's per-thread scratch, grow
+        with its user count; the bound holds both however many users one
+        request names.
+        """
+        self.model.eval()
+        step = self.config.chunk_users
+        rankings: List[np.ndarray] = []
+        with no_tape():
+            for start in range(0, len(users), step):
+                rankings += self._rank_users(users[start:start + step])
+        return rankings
+
+    def _rank_users(self, users: List[int]) -> List[np.ndarray]:
         """One pruned-subgraph model pass ranking ``users``' items."""
         k_budget = self.train_config.k
         rows = None
@@ -219,7 +239,6 @@ class RecommendationService:
         graph = build_user_centric_graph(
             self.ckg, users, depth=self.model_config.depth,
             ppr_scores=rows, k=k_budget, sampler="ppr")
-        self.model.eval()
         propagation = self.model.propagate(graph)
         item_scores = self.model.score_all_items(propagation,
                                                  self.ckg.item_nodes)

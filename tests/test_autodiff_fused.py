@@ -7,14 +7,18 @@ oracles of ``tests/reference_ops.py`` and inline compositions with zero
 tolerance.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro import telemetry as tm
 from repro.autodiff import (Tensor, check_gradients, check_gradients_match,
                             fused_gather_mul_segment_sum, fused_rgcn_messages,
-                            fused_segment_softmax, gather_rows,
+                            fused_segment_softmax, gather_rows, no_tape,
                             segment_softmax, segment_sum)
+from repro.autodiff.fused import _SCRATCH
 from repro.core.layers import AttentionMessagePassing
 from repro.sampling import LayerEdges
 
@@ -269,3 +273,100 @@ class TestFusionTelemetry:
                     "autodiff.tape_bytes"].maximum)
         fused_peak, reference_peak = peaks
         assert fused_peak <= 0.6 * reference_peak
+
+
+class TestScratch:
+    """The attention kernel's per-thread scratch changes no result."""
+
+    def test_calls_of_every_size_match_reference_and_own_their_results(self):
+        # edge counts grow and shrink; the width goes 6 -> 32 -> 6
+        for num_edges, dim in [(40, 6), (400, 6), (25, 32), (900, 32),
+                               (60, 6), (10, 6)]:
+            for use_attention in (True, False):
+                hidden, edges, num_dst = _layer_inputs(
+                    num_src=30, num_dst=20, num_edges=num_edges, dim=dim,
+                    seed=num_edges)
+                layer = _make_layer(dim=dim, use_attention=use_attention)
+                params = [hidden] + list(layer.parameters())
+                results = []
+                for forward in _FORWARDS:
+                    for param in params:
+                        param.zero_grad()
+                    out, _ = forward(layer, hidden, edges, num_dst)
+                    (out * out).sum().backward()
+                    results.append([out.data] + [
+                        np.empty(0) if p.grad is None else p.grad
+                        for p in params])
+                fused, reference = results
+                for got, want in zip(fused, reference):
+                    assert got.tobytes() == want.tobytes()
+                    assert not any(np.shares_memory(got, buffer)
+                                   for buffer in _SCRATCH.buffers)
+        assert max(buffer.size for buffer in _SCRATCH.buffers) >= 900 * 32
+
+    def test_threads_propagating_at_once_match_serial(self):
+        layer = _make_layer(dim=16)
+        batches = [_layer_inputs(num_src=40, num_dst=30, num_edges=edges,
+                                 dim=16, seed=edges)
+                   for edges in (300, 500, 800, 1200)]
+
+        def propagate(batch):
+            hidden, edges, num_dst = batch
+            with no_tape():
+                return [layer(hidden, edges, num_dst)[0].data
+                        for _ in range(25)]
+
+        serial = [propagate(batch)[0] for batch in batches]
+        results = [None] * len(batches)
+        start = threading.Barrier(len(batches))
+
+        def worker(index):
+            start.wait(timeout=10)
+            results[index] = propagate(batches[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for expected, outputs in zip(serial, results):
+            assert all(out.tobytes() == expected.tobytes() for out in outputs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("src_pos", -1), ("src_pos", 12), ("relations", -1),
+        ("relations", 7), ("dst_pos", -1), ("dst_pos", 9)])
+    def test_out_of_range_index_raises_in_forward(self, field, value):
+        hidden, edges, num_dst = _layer_inputs()
+        arrays = {name: getattr(edges, name).copy()
+                  for name in ("src_pos", "relations", "dst_pos")}
+        arrays[field][3] = value
+        bad = LayerEdges(heads=arrays["src_pos"], tails=arrays["dst_pos"],
+                         **arrays)
+        with pytest.raises(IndexError):
+            _make_layer()(hidden, bad, num_dst)
+
+    def test_no_tape_same_outputs_still_counted_nothing_recorded(self):
+        hidden, edges, num_dst = _layer_inputs()
+        layer = _make_layer()
+        taped, taped_alpha = layer(hidden, edges, num_dst,
+                                   collect_attention=True)
+        tm.reset()
+        try:
+            with tm.enabled(True), no_tape():
+                out, alpha = layer(hidden, edges, num_dst,
+                                   collect_attention=True)
+            calls = tm.get_registry().counters["autodiff.fused_calls"].total
+        finally:
+            tm.reset()
+        assert calls == 1
+        assert out.data.tobytes() == taped.data.tobytes()
+        assert alpha.tobytes() == taped_alpha.tobytes()
+        assert out._parents == () and out._backward_fn is None
+        assert not out.requires_grad

@@ -8,6 +8,7 @@ HTTP sockets.
 """
 
 import json
+import math
 import urllib.error
 import urllib.request
 
@@ -220,6 +221,38 @@ class TestFromRecommender:
         summary = service.add_interactions([(0, target)])
         assert summary["added"] == 1
         assert target not in set(service.recommend([0])[0].tolist())
+
+    def test_request_naming_every_user_matches_one_user_requests(
+            self, trained):
+        recommender, split = trained
+        service = RecommendationService.from_recommender(
+            recommender, split, ServeConfig(top_k=10, cache_entries=0))
+        users = list(range(recommender.ckg.num_users))
+        together = service.recommend(users)
+        alone = [service.recommend([user])[0] for user in users]
+        assert all(np.array_equal(many, one)
+                   for many, one in zip(together, alone))
+
+    def test_misses_scored_in_bounded_passes(self, trained, monkeypatch):
+        recommender, split = trained
+        chunk_users = 8
+        service = RecommendationService.from_recommender(
+            recommender, split,
+            ServeConfig(top_k=10, chunk_users=chunk_users))
+        users = list(range(recommender.ckg.num_users))
+        assert len(users) > 2 * chunk_users
+        sizes = []
+        propagate = service.model.propagate
+
+        def counting(graph, **kwargs):
+            sizes.append(graph.num_users)
+            return propagate(graph, **kwargs)
+
+        monkeypatch.setattr(service.model, "propagate", counting)
+        service.recommend(users)
+        assert len(sizes) == math.ceil(len(users) / chunk_users)
+        assert max(sizes) <= chunk_users
+        assert sum(sizes) == len(users)
 
     def test_requires_prepared_recommender(self, trained):
         _, split = trained

@@ -213,8 +213,11 @@ class Tensor:
     def _accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad``, allocating on first use."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One pass with the bits of a zero-fill plus add: ``grad +
+            # 0.0`` broadcasts the same way and turns -0.0 into +0.0.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""

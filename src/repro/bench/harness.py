@@ -24,14 +24,12 @@ schema-versioned report dict that :mod:`.artifact` serializes.
 
 from __future__ import annotations
 
-import math
 import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from .. import telemetry
-from ..parallel import run_parallel
 from .artifact import SCHEMA, git_sha, machine_fingerprint
 from .workloads import SUITES, Workload, get_workloads, make_runner
 
@@ -47,16 +45,11 @@ class HarnessConfig:
     max_repeats: int = 30
     #: target wall time spent on timed repeats per workload
     budget_seconds: float = 1.0
-    #: processes for the timed repeats (1 = serial; the instrumented
-    #: telemetry pass always runs serially in the parent so counters
-    #: stay exact regardless)
-    num_workers: int = 1
 
     def to_dict(self) -> Dict[str, Any]:
         return {"warmup": self.warmup, "min_repeats": self.min_repeats,
                 "max_repeats": self.max_repeats,
-                "budget_seconds": self.budget_seconds,
-                "num_workers": self.num_workers}
+                "budget_seconds": self.budget_seconds}
 
 
 @dataclass
@@ -101,37 +94,6 @@ class WorkloadResult:
         }
 
 
-def _timed_repeat(run: Callable[[], Any], _task: None) -> float:
-    """One timed execution of a workload's run callable (worker-side)."""
-    start = time.perf_counter()
-    run()
-    return time.perf_counter() - start
-
-
-def _parallel_repeats(run: Callable[[], Any], config: HarnessConfig
-                      ) -> List[float]:
-    """Fan the timed repeats across worker processes.
-
-    One calibration repeat runs in the parent to size the repeat count
-    (the serial policy's budget rule, decided up front because workers
-    cannot share an adaptive stop condition); each worker then times its
-    own repeats with ``perf_counter`` so the recorded numbers measure
-    the workload body, not pool scheduling.  The workload state is
-    transported by fork inheritance, so even closure-built runners need
-    no pickling.
-    """
-    start = time.perf_counter()
-    run()
-    first = time.perf_counter() - start
-    target = max(config.min_repeats,
-                 min(config.max_repeats,
-                     int(math.ceil(config.budget_seconds / max(first, 1e-9)))))
-    times = run_parallel(_timed_repeat, [None] * (target - 1), context=run,
-                         num_workers=config.num_workers,
-                         label="bench.repeats")
-    return [first] + [float(value) for value in times]
-
-
 def run_workload(workload: Workload, suite: str,
                  config: Optional[HarnessConfig] = None,
                  verbose: bool = False) -> WorkloadResult:
@@ -149,19 +111,16 @@ def run_workload(workload: Workload, suite: str,
         for _ in range(config.warmup):
             run()
 
-        if config.num_workers > 1:
-            seconds = _parallel_repeats(run, config)
-        else:
-            seconds = []
-            spent = 0.0
-            while (len(seconds) < config.min_repeats
-                   or (spent < config.budget_seconds
-                       and len(seconds) < config.max_repeats)):
-                start = time.perf_counter()
-                run()
-                elapsed = time.perf_counter() - start
-                seconds.append(elapsed)
-                spent += elapsed
+        seconds = []
+        spent = 0.0
+        while (len(seconds) < config.min_repeats
+               or (spent < config.budget_seconds
+                   and len(seconds) < config.max_repeats)):
+            start = time.perf_counter()
+            run()
+            elapsed = time.perf_counter() - start
+            seconds.append(elapsed)
+            spent += elapsed
 
     telemetry.reset()
     with telemetry.enabled():

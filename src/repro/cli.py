@@ -9,7 +9,7 @@ Usage::
                             [--workers N] [--trace-out FILE] [--flame-out FILE]
                             [--health-policy warn|raise] [--health-out FILE]
     python -m repro trace --out trace.json [--flame flame.txt] -- CMD...
-    python -m repro bench run [--suite quick|full] [--out FILE] [--workers N]
+    python -m repro bench run [--suite quick|full] [--out FILE]
     python -m repro bench compare BASELINE CANDIDATE
     python -m repro bench report DIR [--out FILE]
     python -m repro runs list [--dir DIR] [--kind KIND] [--limit N]
@@ -206,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument("--max-repeats", type=int, default=30)
     bench_run.add_argument("--budget-seconds", type=float, default=1.0,
                            help="timed-repeat wall budget per workload")
-    bench_run.add_argument("--workers", type=int, default=1,
-                           help="worker processes for the timed repeats "
-                                "(the instrumented pass stays serial)")
     _add_recording_flags(bench_run)
 
     bench_compare = bench_commands.add_parser(
@@ -763,8 +760,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         config = bench.HarnessConfig(
             warmup=args.warmup, min_repeats=args.min_repeats,
             max_repeats=args.max_repeats,
-            budget_seconds=args.budget_seconds,
-            num_workers=args.workers)
+            budget_seconds=args.budget_seconds)
         with _recording(args) as store:
             try:
                 report = bench.run_suite(args.suite, names=args.workload,

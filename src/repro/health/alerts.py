@@ -45,6 +45,11 @@ class HealthError(RuntimeError):
         super().__init__(f"[{alert.check}] {alert.message}")
         self.alert = alert
 
+    def __reduce__(self):
+        # rebuild from the alert, so the error survives the trip back
+        # from a worker process
+        return HealthError, (self.alert,)
+
 
 @dataclass
 class HealthAlert:

@@ -29,7 +29,8 @@ Design constraints, in priority order:
    a worker dying, a platform without usable start methods — logs a
    warning, bumps ``parallel.fallbacks``, and reruns the tasks serially
    in the parent.  Parallelism is an optimization, never a correctness
-   dependency.
+   dependency.  A task's own exception is not a pool failure: the
+   parent re-raises it, without a warning or a serial rerun.
 
 Context transport: on platforms with the ``fork`` start method the
 shared context (a CKG, a trained model) is inherited by the workers at
@@ -50,15 +51,15 @@ import multiprocessing as mp
 
 from .. import telemetry
 
-__all__ = ["DEFAULT_ENV_VAR", "START_METHOD_ENV_VAR",
-           "resolve_workers", "chunk_sequence", "run_parallel"]
+__all__ = ["DEFAULT_ENV_VAR", "resolve_workers", "chunk_sequence",
+           "run_parallel"]
 
 #: environment variable consulted when a caller passes ``None`` workers
 DEFAULT_ENV_VAR = "REPRO_NUM_WORKERS"
 
-#: set (to "1") inside worker processes so nested fan-out degrades to
-#: serial instead of forking grandchildren
-_WORKER_ENV_FLAG = "REPRO_PARALLEL_WORKER"
+#: set by :func:`_initializer` inside worker processes so nested fan-out
+#: degrades to serial instead of forking grandchildren
+_IN_WORKER = False
 
 _T = TypeVar("_T")
 
@@ -70,7 +71,7 @@ def resolve_workers(requested: Optional[int] = None) -> int:
     resolution clamps to 1 (the serial fast path).  Inside a worker
     process the answer is always 1 — nested pools are never created.
     """
-    if os.environ.get(_WORKER_ENV_FLAG):
+    if _IN_WORKER:
         return 1
     if requested is None or requested == 0:
         value = os.environ.get(DEFAULT_ENV_VAR, "")
@@ -108,11 +109,21 @@ _WORKER: dict = {"fn": None, "context": None, "telemetry": False,
                  "events": None}
 
 
+class _TaskError(Exception):
+    """Carries a task's own exception (``args[0]``) back to the parent.
+
+    Raised in the worker, it reaches the parent with the worker's
+    traceback attached as ``__cause__``; the parent re-raises the
+    original exception instead of treating it as a pool failure.
+    """
+
+
 def _initializer(payload: Optional[dict]) -> None:
     """Per-worker setup: adopt state, mark the process as a worker."""
+    global _IN_WORKER
     if payload is not None:        # spawn path; fork inherits _WORKER
         _WORKER.update(payload)
-    os.environ[_WORKER_ENV_FLAG] = "1"
+    _IN_WORKER = True
     telemetry.reset()
     # Under fork the worker inherits a *copy* of the parent's event log;
     # drop it — per-task logs are created in _execute and shipped back.
@@ -121,7 +132,8 @@ def _initializer(payload: Optional[dict]) -> None:
 
 def _execute(index_task):
     """Run one task in a worker; returns (index, result, snapshot,
-    event_snapshot, secs).
+    event_snapshot, secs), or raises the task's exception as
+    :class:`_TaskError`.
 
     Each task gets a clean registry so its snapshot is attributable to
     it alone — the parent merges snapshots in task order, which keeps
@@ -132,25 +144,26 @@ def _execute(index_task):
     alongside the registry snapshot for per-worker lane merging.
     """
     index, task = index_task
-    fn = _WORKER["fn"]
-    context = _WORKER["context"]
+    record = _WORKER["telemetry"]
     start = time.perf_counter()
     event_snapshot = None
-    if _WORKER["telemetry"]:
+    if record:
         telemetry.reset()
         capacity = _WORKER.get("events")
         if capacity:
             telemetry.enable_events(capacity)
-        with telemetry.enabled(True):
-            result = fn(context, task)
+    try:
+        with telemetry.enabled(record):
+            result = _WORKER["fn"](_WORKER["context"], task)
+    except Exception as error:  # noqa: BLE001 — the task's, not the pool's
+        raise _TaskError(error) from error
+    if record:
         snapshot = telemetry.get_registry().snapshot()
         log = telemetry.disable_events()
         if log is not None and len(log):
             event_snapshot = log.snapshot()
         telemetry.reset()
     else:
-        with telemetry.enabled(False):
-            result = fn(context, task)
         snapshot = None
     return index, result, snapshot, event_snapshot, time.perf_counter() - start
 
@@ -196,6 +209,8 @@ def run_parallel(fn: Callable[[Any, Any], Any], tasks: Sequence[Any], *,
 
     try:
         outputs = _run_pool(fn, tasks, context, workers)
+    except _TaskError as failure:
+        raise failure.args[0] from failure.__cause__
     except Exception as error:  # noqa: BLE001 — any pool/pickling failure
         warnings.warn(
             f"parallel[{label}]: worker pool failed "
@@ -221,30 +236,10 @@ def run_parallel(fn: Callable[[Any, Any], Any], tasks: Sequence[Any], *,
     return results
 
 
-#: forces a multiprocessing start method (``fork`` / ``spawn`` /
-#: ``forkserver``) regardless of platform default — the lever the
-#: spawn-equivalence tests use, and an escape hatch on fork-hostile
-#: runtimes.  With the mmap store, spawn transports graphs and scores by
-#: path, so forcing it is cheap.
-START_METHOD_ENV_VAR = "REPRO_START_METHOD"
-
-
 def _pool_context():
-    """Pick a start method: ``fork`` (free context transport) if usable.
-
-    ``$REPRO_START_METHOD`` overrides the choice; an unknown value warns
-    and falls back to the platform default rather than failing the run.
-    """
-    methods = mp.get_all_start_methods()
-    requested = os.environ.get(START_METHOD_ENV_VAR, "").strip().lower()
-    if requested:
-        if requested in methods:
-            return mp.get_context(requested), requested == "fork"
-        warnings.warn(
-            f"{START_METHOD_ENV_VAR}={requested!r} is not available on "
-            f"this platform (choices: {methods}); using the default",
-            RuntimeWarning)
-    if "fork" in methods:
+    """Pick a start method: ``fork`` (free context transport) if the
+    platform has it, else ``spawn``."""
+    if "fork" in mp.get_all_start_methods():
         return mp.get_context("fork"), True
     return mp.get_context("spawn"), False
 

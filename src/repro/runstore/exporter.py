@@ -45,6 +45,7 @@ import collections
 import errno
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -359,8 +360,8 @@ class MetricsExporter:
         self._started_unix = time.time()
         self._stop.clear()
         self._serve_thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-metrics-http",
-            daemon=True)
+            target=self._serve, args=(self._server,),
+            name="repro-metrics-http", daemon=True)
         self._serve_thread.start()
         if self.snapshot_interval > 0:
             self._snapshot_thread = threading.Thread(
@@ -375,15 +376,31 @@ class MetricsExporter:
             with self._lock:
                 self._snapshots.append((time.time(), snapshot))
 
+    def _serve(self, server: ThreadingHTTPServer) -> None:
+        # One blocking accept per pass with no poll timeout, so an idle
+        # server never wakes; stop() wakes it with a loopback connection
+        # and returns at once.
+        while self._server is server:
+            server.handle_request()
+
     def stop(self) -> None:
         self._stop.set()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            # wake the accept in _serve (a refused connect means the
+            # loop is already gone)
+            host, port = server.server_address[:2]
+            try:
+                socket.create_connection(
+                    ("127.0.0.1" if host == "0.0.0.0" else host, port),
+                    timeout=1.0).close()
+            except OSError:
+                pass
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
+        if server is not None:
+            server.server_close()
         if self._snapshot_thread is not None:
             self._snapshot_thread.join(timeout=5.0)
             self._snapshot_thread = None

@@ -19,6 +19,36 @@ finite_floats = st.floats(min_value=-3.0, max_value=3.0,
                           allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def grad_into(draw):
+    """A parameter shape and a ``grad`` broadcastable into it, with any
+    float (±0, ±inf, NaN payloads, subnormals) as elements."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=4))
+    keep = draw(st.lists(st.booleans(), min_size=len(shape),
+                         max_size=len(shape)))
+    lead = draw(st.integers(0, len(shape)))
+    grad_shape = tuple(side if kept else 1
+                       for side, kept in zip(shape, keep))[lead:]
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan,
+                               -np.nan, 5e-324, -5e-324, 2.0 ** -1060])
+    grad = draw(hnp.arrays(np.float64, grad_shape,
+                           elements=st.one_of(special, st.floats())))
+    return shape, grad
+
+
+@settings(max_examples=200, deadline=None)
+@given(grad_into())
+def test_first_gradient_bits_match_zero_fill_then_add(case):
+    shape, grad = case
+    tensor = Tensor(np.ones(shape), requires_grad=True)
+    tensor._accumulate_grad(grad)
+    expected = np.zeros_like(tensor.data)
+    expected += grad
+    assert tensor.grad.shape == expected.shape
+    assert np.array_equal(tensor.grad.view(np.uint64),
+                          expected.view(np.uint64))
+
+
 def arrays(shape):
     return hnp.arrays(np.float64, shape, elements=finite_floats)
 

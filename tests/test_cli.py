@@ -69,3 +69,24 @@ class TestMain:
         dataset = load_dataset(str(tmp_path / "amazon_book_like"))
         assert dataset.name == "amazon_book_like"
         assert dataset.ui_graph.num_interactions > 0
+
+
+def test_repro_env_knobs_are_the_six_entry_points():
+    """Every ``REPRO_*`` token under src/repro, docstrings included, is
+    one of the six settings a workflow has no other way to reach:
+    workers and store for ``repro run`` experiments, the profile for
+    ``pytest benchmarks/``, the PPR method for the table benches, and
+    the two deployment settings.  Configuration that only tests need
+    goes through parameters and fixtures instead."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    src_root = Path(repro.__file__).parent
+    names = set()
+    for path in src_root.rglob("*.py"):
+        names.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert names == {"REPRO_NUM_WORKERS", "REPRO_PPR_STORE",
+                     "REPRO_PROFILE", "REPRO_PPR_METHOD",
+                     "REPRO_RUNS_DIR", "REPRO_METRICS_PORT"}

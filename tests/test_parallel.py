@@ -3,10 +3,15 @@
 The contract under test (docs/performance.md, "Parallel execution"):
 for any ``num_workers``, fan-out produces **bitwise-identical** results
 to the serial path, and the telemetry counters merged back from workers
-equal the serial run's counters exactly.
+equal the serial run's counters exactly.  The PPR precompute checks run
+under both start methods and on both score stores, so one test pass
+covers every worker × store branch of the precompute.
 """
 
 import multiprocessing as mp
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +20,9 @@ from repro import telemetry
 from repro.core import KUCNetConfig, KUCNetRecommender, TrainConfig
 from repro.data import lastfm_like, traditional_split
 from repro.eval import evaluate
-from repro.parallel import (START_METHOD_ENV_VAR, chunk_sequence,
-                            resolve_workers, run_parallel)
+from repro.health import HealthConfig, HealthError, HealthMonitor
+from repro.parallel import chunk_sequence, resolve_workers, run_parallel
+from repro.parallel import pool as parallel_pool
 from repro.ppr import concat_sparse_scores, forward_push_batch
 from repro.telemetry.tracer import MetricsRegistry
 
@@ -30,16 +36,21 @@ def split():
 
 @pytest.fixture(params=["fork", "spawn"])
 def start_method(request, monkeypatch):
-    """Force each multiprocessing start method in turn.
+    """Run the pool under each multiprocessing start method in turn.
 
     The bitwise serial/parallel contract must hold under both context
     transports: fork (workers inherit the parent's memory) and spawn
-    (context pickled through the pool initializer — what fork-hostile
-    platforms and the mmap store's by-path transport rely on).
+    (context pickled through the pool initializer — what platforms
+    without fork and the mmap store's by-path transport rely on).
+    Spawn is forced by hiding ``fork`` from the pool's platform check,
+    so the pool takes the branch such a platform takes.
     """
-    if request.param not in mp.get_all_start_methods():
+    methods = mp.get_all_start_methods()
+    if request.param not in methods:
         pytest.skip(f"start method {request.param!r} unavailable")
-    monkeypatch.setenv(START_METHOD_ENV_VAR, request.param)
+    if request.param == "spawn":
+        monkeypatch.setattr(parallel_pool.mp, "get_all_start_methods",
+                            lambda: [m for m in methods if m != "fork"])
     return request.param
 
 
@@ -50,17 +61,32 @@ def _domain_counters(snapshot):
             if not name.startswith("parallel.")}
 
 
-def _prepare(split, *, ppr_method, num_workers):
+def _prepare(split, *, ppr_method, num_workers, store="ram"):
     telemetry.reset()
     with telemetry.enabled():
         rec = KUCNetRecommender(
             KUCNetConfig(dim=8, depth=2, seed=0),
             TrainConfig(epochs=1, k=10, seed=0, ppr_method=ppr_method,
-                        ppr_chunk_users=16, num_workers=num_workers))
+                        ppr_chunk_users=16, num_workers=num_workers,
+                        ppr_store=store))
         rec.prepare(split)
     snapshot = telemetry.get_registry().snapshot()
     telemetry.reset()
     return rec, snapshot
+
+
+@pytest.fixture(scope="module")
+def serial_run(split):
+    """``_prepare`` at one worker per (method, store), computed once."""
+    runs = {}
+
+    def get(ppr_method, store):
+        if (ppr_method, store) not in runs:
+            runs[ppr_method, store] = _prepare(
+                split, ppr_method=ppr_method, num_workers=1, store=store)
+        return runs[ppr_method, store]
+
+    return get
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +99,20 @@ def _square(context, task):
 
 def _echo_lambda(context, task):
     return lambda: task  # unpicklable result -> forces the fallback
+
+
+def _log_call_then_fail_task_2(log_dir, task):
+    """Leave one ``<task>-<pid>-*`` file per call; task 2 raises."""
+    handle, _ = tempfile.mkstemp(prefix=f"{task}-{os.getpid()}-",
+                                 dir=log_dir)
+    os.close(handle)
+    if task == 2:
+        raise ValueError("task 2 failed")
+    return task
+
+
+def _resolved_inside_worker(context, task):
+    return resolve_workers(16)
 
 
 class TestRunParallel:
@@ -104,6 +144,29 @@ class TestRunParallel:
         telemetry.reset()
         assert snapshot["counters"]["parallel.fallbacks"]["total"] == 1.0
 
+    def test_task_exception_is_not_a_pool_failure(self, tmp_path):
+        """A task's own error reaches the caller once, with no fallback:
+        no warning, no ``parallel.fallbacks``, no task rerun in the
+        parent."""
+        telemetry.reset()
+        with telemetry.enabled(), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="task 2 failed"):
+                run_parallel(_log_call_then_fail_task_2, range(4),
+                             context=str(tmp_path), num_workers=2)
+            snapshot = telemetry.get_registry().snapshot()
+        telemetry.reset()
+        assert [str(w.message) for w in caught] == []
+        assert "parallel.fallbacks" not in snapshot["counters"]
+        calls = [name.split("-")[:2] for name in os.listdir(tmp_path)]
+        tasks = [int(task) for task, _ in calls]
+        # every task runs at most once; the pool may cancel the ones
+        # not yet started when task 2 fails
+        assert len(tasks) == len(set(tasks))
+        assert {0, 1, 2} <= set(tasks)
+        assert str(os.getpid()) not in {pid for _, pid in calls}
+
     def test_parallel_namespace_recorded(self):
         telemetry.reset()
         with telemetry.enabled():
@@ -133,9 +196,10 @@ class TestResolveWorkers:
         with pytest.warns(RuntimeWarning):
             assert resolve_workers(None) == 1
 
-    def test_worker_processes_never_nest(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKER", "1")
-        assert resolve_workers(16) == 1
+    def test_worker_processes_never_nest(self, start_method):
+        assert run_parallel(_resolved_inside_worker, [0, 1],
+                            num_workers=2) == [1, 1]
+        assert resolve_workers(16) == 16
 
 
 class TestChunkSequence:
@@ -233,63 +297,67 @@ class TestMergeSnapshot:
 # ----------------------------------------------------------------------
 
 class TestPPREquivalence:
+    """Serial ≡ parallel precompute on the in-RAM score store.
+
+    Scores are compared bitwise with the serial RAM run; counters with
+    the serial run on the same store (mmap adds ``storage.*``).
+    """
+
+    STORE = "ram"
+
+    def _run(self, split, serial_run, ppr_method, workers):
+        """A fresh run at ``workers``, its snapshot, and the snapshot of
+        the serial run on the same store."""
+        other, other_snap = _prepare(split, ppr_method=ppr_method,
+                                     num_workers=workers, store=self.STORE)
+        return other, other_snap, serial_run(ppr_method, self.STORE)[1]
+
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_power_scores_bitwise_identical(self, split, workers,
-                                            start_method):
-        serial, serial_snap = _prepare(split, ppr_method="power",
-                                       num_workers=1)
-        if workers == 1:
-            other, other_snap = serial, serial_snap
-        else:
-            other, other_snap = _prepare(split, ppr_method="power",
-                                         num_workers=workers)
-        assert np.array_equal(serial.ppr_scores, other.ppr_scores)
+    def test_power_scores_bitwise_identical(self, split, serial_run,
+                                            workers, start_method):
+        reference, _ = serial_run("power", "ram")
+        other, other_snap, serial_snap = self._run(split, serial_run,
+                                                   "power", workers)
+        assert isinstance(other.ppr_scores, np.memmap) \
+            == (self.STORE == "mmap")
+        assert np.array_equal(reference.ppr_scores, other.ppr_scores)
         assert _domain_counters(serial_snap) == _domain_counters(other_snap)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_push_scores_bitwise_identical(self, split, workers,
-                                           start_method):
-        serial, serial_snap = _prepare(split, ppr_method="push",
-                                       num_workers=1)
-        other, other_snap = _prepare(split, ppr_method="push",
-                                     num_workers=workers)
-        serial_scores, other_scores = serial.ppr_scores, other.ppr_scores
-        assert np.array_equal(serial_scores.users, other_scores.users)
-        assert serial_scores.residual == other_scores.residual
+    def test_push_scores_bitwise_identical(self, split, serial_run,
+                                           workers, start_method):
+        reference, _ = serial_run("push", "ram")
+        other, other_snap, serial_snap = self._run(split, serial_run,
+                                                   "push", workers)
+        reference_scores = reference.ppr_scores
+        other_scores = other.ppr_scores
+        assert np.array_equal(reference_scores.users, other_scores.users)
+        assert reference_scores.residual == other_scores.residual
         # the solver parameters survive the fan-out's concatenation
-        config = serial.train_config
-        for scores in (serial_scores, other_scores):
+        config = reference.train_config
+        for scores in (reference_scores, other_scores):
             assert (scores.alpha, scores.epsilon) \
                 == (config.ppr_alpha, config.ppr_epsilon)
-        if not hasattr(serial_scores, "indptr"):
-            # sharded mmap backend (REPRO_PPR_STORE=mmap): materialize
-            # both sides the same way and compare the flat CSR arrays
-            serial_scores = serial_scores.select(serial_scores.users.tolist())
+        assert hasattr(other_scores, "indptr") == (self.STORE == "ram")
+        if self.STORE == "mmap":
+            # sharded store: materialize its rows as one CSR block
             other_scores = other_scores.select(other_scores.users.tolist())
         for attribute in ("indptr", "node_ids", "values"):
-            assert np.array_equal(getattr(serial_scores, attribute),
+            assert np.array_equal(getattr(reference_scores, attribute),
                                   getattr(other_scores, attribute))
         assert _domain_counters(serial_snap) == _domain_counters(other_snap)
 
-    def test_push_gauges_match_serial(self, split, start_method):
-        _, serial_snap = _prepare(split, ppr_method="push", num_workers=1)
-        _, worker_snap = _prepare(split, ppr_method="push", num_workers=2)
+    def test_push_gauges_match_serial(self, split, serial_run,
+                                      start_method):
+        _, serial_snap = serial_run("push", self.STORE)
+        _, worker_snap = _prepare(split, ppr_method="push", num_workers=2,
+                                  store=self.STORE)
         for gauge in ("ppr.residual_mass", "ppr.score_bytes"):
             assert (serial_snap["gauges"][gauge]["value"]
                     == worker_snap["gauges"][gauge]["value"])
 
-    def test_unknown_start_method_warns_and_degrades(self, split,
-                                                     monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV_VAR, "threads")
-        with pytest.warns(RuntimeWarning, match="not available"):
-            _, snap = _prepare(split, ppr_method="push", num_workers=2)
-        # the run still completes through the default-method pool (or
-        # the serial fallback) with full counters
-        assert snap["counters"]["ppr.users"]["total"] \
-            == split.train.num_users
-
-    def test_concat_matches_single_call(self, split):
-        rec, _ = _prepare(split, ppr_method="push", num_workers=1)
+    def test_concat_matches_single_call(self, split, serial_run):
+        rec, _ = serial_run("push", self.STORE)
         users = np.arange(rec.ckg.num_users)
         whole = forward_push_batch(rec.ckg, users, chunk_users=16)
         parts = [forward_push_batch(rec.ckg, chunk, chunk_users=chunk.size)
@@ -301,9 +369,35 @@ class TestPPREquivalence:
         assert whole.residual == stitched.residual
 
 
+class TestPPREquivalenceOnMmap(TestPPREquivalence):
+    """Every check above with the sharded mmap score store (the
+    worker × mmap branches of the precompute)."""
+
+    STORE = "mmap"
+
+
 # ----------------------------------------------------------------------
 # Eval equivalence
 # ----------------------------------------------------------------------
+
+class _OneRowScorer:
+    """Scores one row whatever the batch size (module-level: picklable)."""
+
+    def __init__(self, num_items):
+        self.num_items = num_items
+
+    def score_users(self, users):
+        return np.zeros((1, self.num_items))
+
+
+class _NaNScorer(_OneRowScorer):
+    """Right shape, one non-finite score per batch."""
+
+    def score_users(self, users):
+        scores = np.zeros((len(users), self.num_items))
+        scores[0, 0] = np.nan
+        return scores
+
 
 class TestEvalEquivalence:
     @pytest.fixture(scope="class")
@@ -339,3 +433,18 @@ class TestEvalEquivalence:
         # span activity survives the merge (counts add across workers)
         assert (serial["spans"]["eval.score"]["count"]
                 == parallel["spans"]["eval.score"]["count"])
+
+    @pytest.mark.parametrize("scorer, health, error, match", [
+        (_OneRowScorer, None, ValueError, "scorer returned 1 rows"),
+        (_NaNScorer, "raise", HealthError, "nan_scores"),
+    ])
+    def test_worker_error_raised_without_fallback(self, split, scorer,
+                                                  health, error, match):
+        monitor = (HealthMonitor(HealthConfig(policy=health))
+                   if health else None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match=match):
+                evaluate(scorer(split.dataset.num_items), split,
+                         batch_size=4, num_workers=2, health=monitor)
+        assert [str(w.message) for w in caught] == []

@@ -5,6 +5,7 @@ import json
 import os
 import socket
 import threading
+import time
 import types
 import urllib.error
 import urllib.request
@@ -396,6 +397,27 @@ class TestExporter:
                 second.start()
         finally:
             first.stop()
+
+    @pytest.mark.parametrize("scraped", [False, True])
+    def test_stop_returns_at_once_and_releases_the_port(self, scraped):
+        # A stop must not wait out a poll interval of the accept loop.
+        exporter = MetricsExporter(port=0, registry=tm.MetricsRegistry())
+        port = exporter.start()
+        if scraped:
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
+                                        timeout=5) as reply:
+                assert reply.status == 200
+        threads = (exporter._serve_thread, exporter._snapshot_thread)
+        started = time.perf_counter()
+        exporter.stop()
+        assert time.perf_counter() - started < 0.05
+        assert not any(thread.is_alive() for thread in threads)
+        again = MetricsExporter(port=port, registry=tm.MetricsRegistry(),
+                                snapshot_interval=0.0)
+        try:
+            assert again.start() == port
+        finally:
+            again.stop()
 
     def test_background_snapshot_thread_is_bounded(self):
         exporter = MetricsExporter(port=0, registry=tm.MetricsRegistry(),

@@ -15,11 +15,12 @@ The paper evaluates in three regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
+from ..graph.user_item import positives_by_user
 
 
 @dataclass
@@ -117,23 +118,27 @@ def traditional_split(dataset: Dataset, test_fraction: float = 0.2,
         raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     ui = dataset.ui_graph
-    train_pairs: List[Tuple[int, int]] = []
+    # Each user's items are one sorted slice of the (user, item)-sorted
+    # arrays; held-out positions are cleared from a mask over them.
+    keep = np.ones(ui.num_interactions, dtype=bool)
     test_map: Dict[int, Set[int]] = {}
-    for user in ui.users_with_interactions():
-        items = sorted(ui.positives(user))
-        if len(items) < 2:
-            train_pairs.extend((user, item) for item in items)
+    users, starts = np.unique(ui.users, return_index=True)
+    bounds = np.append(starts, ui.num_interactions).tolist()
+    for user, start, stop in zip(users.tolist(), bounds, bounds[1:]):
+        count = stop - start
+        if count < 2:
             continue
-        shuffled = list(items)
+        items = ui.items[start:stop]
+        shuffled = items.tolist()
         rng.shuffle(shuffled)
-        num_test = max(1, int(round(len(items) * test_fraction)))
-        num_test = min(num_test, len(items) - 1)
-        held = set(shuffled[:num_test])
-        test_map[user] = held
-        train_pairs.extend((user, item) for item in items if item not in held)
+        num_test = max(1, int(round(count * test_fraction)))
+        num_test = min(num_test, count - 1)
+        held = shuffled[:num_test]
+        test_map[user] = set(held)
+        keep[start + np.searchsorted(items, held)] = False
 
-    train = UserItemGraph(ui.num_users, ui.num_items, train_pairs)
-    trained_items = {int(i) for i in train.items}
+    train = ui.masked(keep)
+    trained_items = set(train.items.tolist())
     cleaned = {user: {i for i in items if i in trained_items}
                for user, items in test_map.items()}
     cleaned = {user: items for user, items in cleaned.items() if items}
@@ -155,17 +160,14 @@ def new_item_split(dataset: Dataset, fold: int = 0, num_folds: int = 5,
     ui = dataset.ui_graph
     permutation = rng.permutation(ui.num_items)
     folds = np.array_split(permutation, num_folds)
-    test_items = set(folds[fold].tolist())
-    train_items = [item for item in range(ui.num_items) if item not in test_items]
+    held = np.zeros(ui.num_items, dtype=bool)
+    held[folds[fold]] = True
 
-    train = ui.restrict_items(train_items)
-    test_map: Dict[int, Set[int]] = {}
-    for user, item in zip(ui.users.tolist(), ui.items.tolist()):
-        if item in test_items:
-            test_map.setdefault(user, set()).add(item)
-    return Split(dataset=dataset, train=train, test_positives=test_map,
-                 setting="new_item",
-                 candidate_items=np.asarray(sorted(test_items), dtype=np.int64))
+    test = held[ui.items]
+    train = ui.masked(~test)
+    return Split(dataset=dataset, train=train,
+                 test_positives=positives_by_user(ui.users[test], ui.items[test]),
+                 setting="new_item", candidate_items=np.flatnonzero(held))
 
 
 def new_user_split(dataset: Dataset, fold: int = 0, num_folds: int = 5,
@@ -181,13 +183,11 @@ def new_user_split(dataset: Dataset, fold: int = 0, num_folds: int = 5,
     ui = dataset.ui_graph
     permutation = rng.permutation(ui.num_users)
     folds = np.array_split(permutation, num_folds)
-    test_users = set(folds[fold].tolist())
-    train_users = [user for user in range(ui.num_users) if user not in test_users]
+    held = np.zeros(ui.num_users, dtype=bool)
+    held[folds[fold]] = True
 
-    train = ui.restrict_users(train_users)
-    test_map: Dict[int, Set[int]] = {}
-    for user, item in zip(ui.users.tolist(), ui.items.tolist()):
-        if user in test_users:
-            test_map.setdefault(user, set()).add(item)
-    return Split(dataset=dataset, train=train, test_positives=test_map,
+    test = held[ui.users]
+    train = ui.masked(~test)
+    return Split(dataset=dataset, train=train,
+                 test_positives=positives_by_user(ui.users[test], ui.items[test]),
                  setting="new_user")

@@ -87,7 +87,8 @@ class SyntheticConfig:
     #: path draws from the same generative model but with a different
     #: random-variate parameterization, so streamed and looped outputs
     #: differ per seed (both are valid draws); presets stay below the
-    #: threshold and keep their committed byte-exact populations.
+    #: threshold and keep the byte-exact populations pinned by
+    #: ``tests/fixtures/dataset_digests.json``.
     stream: Optional[bool] = None
 
     def scaled(self, scale: float) -> "SyntheticConfig":
@@ -200,7 +201,8 @@ def _build_item_kg(rng, config, item_community):
                         triplets.append((int(item), ii_relation, other))
 
     triplets = _apply_noise(rng, triplets, num_entities, config.kg_noise)
-    kg = KnowledgeGraph(num_entities, num_relations, triplets)
+    kg = KnowledgeGraph(num_entities, num_relations,
+                        np.asarray(triplets, dtype=np.int64))
     return kg, item_shared_attrs
 
 
@@ -248,34 +250,44 @@ def _sample_tastes(rng, config, user_community) -> List[frozenset]:
 
 
 def _sample_interactions(rng, config, item_shared_attrs, user_tastes):
-    """Popularity × attribute-affinity interaction sampling."""
+    """Popularity × attribute-affinity interaction sampling.
+
+    Returns the ``(n, 2)`` int64 array of drawn ``(user, item)`` pairs.
+    """
     num_items = config.num_items
 
     # Zipf-like popularity over a random item permutation.
     ranks = rng.permutation(num_items) + 1
     popularity = 1.0 / ranks.astype(np.float64) ** config.popularity_exponent
 
-    # Sparse incidence of shared attributes for fast affinity lookups.
+    # Items linking to each shared attribute, ascending and each once, so
+    # one fancy-add per taste attribute counts an item's matches exactly.
     attr_index: Dict[int, List[int]] = {}
     for item, attrs in enumerate(item_shared_attrs):
         for attr in set(attrs):
             attr_index.setdefault(attr, []).append(item)
+    attr_items = {attr: np.asarray(items, dtype=np.int64)
+                  for attr, items in attr_index.items()}
 
-    pairs: List[Tuple[int, int]] = []
-    for user, taste in enumerate(user_tastes):
+    chosen: List[np.ndarray] = []
+    for taste in user_tastes:
         affinity = np.zeros(num_items)
         for attr in taste:
-            for item in attr_index.get(attr, ()):
-                affinity[item] += 1.0
+            if attr in attr_items:
+                affinity[attr_items[attr]] += 1.0
         weights = popularity * np.exp(config.affinity_sharpness
                                       * np.minimum(affinity, 3.0))
         weights /= weights.sum()
 
         degree = max(2, int(rng.poisson(config.mean_degree)))
         degree = min(degree, num_items)
-        chosen = rng.choice(num_items, size=degree, replace=False, p=weights)
-        pairs.extend((user, int(item)) for item in chosen)
-    return pairs
+        chosen.append(rng.choice(num_items, size=degree, replace=False,
+                                 p=weights))
+    users = np.repeat(np.arange(len(chosen), dtype=np.int64),
+                      [draws.size for draws in chosen])
+    items = (np.concatenate(chosen) if chosen
+             else np.empty(0, dtype=np.int64))
+    return np.stack([users, items], axis=1)
 
 
 def _build_user_kg(rng, config, user_community, user_tastes):

@@ -11,6 +11,23 @@ from typing import Iterable, Tuple
 import numpy as np
 
 
+def int_rows(rows, width: int, what: str) -> np.ndarray:
+    """``rows`` as a contiguous ``(n, width)`` int64 array.
+
+    ``rows`` is an array or any iterable of ``width``-tuples (a
+    generator or ``zip`` is drained once).  An empty input becomes
+    ``(0, width)``; any other shape is rejected, never reshaped.
+    """
+    if not isinstance(rows, (np.ndarray, list, tuple)):
+        rows = list(rows)
+    array = np.ascontiguousarray(rows, dtype=np.int64)
+    if not array.size:
+        return np.empty((0, width), dtype=np.int64)
+    if array.ndim != 2 or array.shape[1] != width:
+        raise ValueError(f"{what} array must have shape (n, {width})")
+    return array
+
+
 class KnowledgeGraph:
     """Immutable triplet store over dense entity/relation id spaces.
 
@@ -19,7 +36,8 @@ class KnowledgeGraph:
     num_entities, num_relations:
         Sizes of the entity and relation id spaces.
     triplets:
-        Iterable of ``(head, relation, tail)``.  Duplicates are dropped.
+        ``(n, 3)`` array or iterable of ``(head, relation, tail)``.
+        Duplicates are dropped; the arrays are sorted by triplet.
     """
 
     def __init__(self, num_entities: int, num_relations: int,
@@ -29,55 +47,26 @@ class KnowledgeGraph:
         self.num_entities = int(num_entities)
         self.num_relations = int(num_relations)
 
-        if isinstance(triplets, np.ndarray):
-            # Array fast path for generator-scale KGs: validate, then
-            # dedup + lexicographic sort without per-triplet tuples.
-            # Yields the same (heads, relations, tails) as the tuple path.
-            array = np.ascontiguousarray(triplets, dtype=np.int64)
-            if array.size and (array.ndim != 2 or array.shape[1] != 3):
-                raise ValueError("triplet array must have shape (n, 3)")
-            if array.size:
-                entity_ids = array[:, [0, 2]]
-                if entity_ids.min() < 0 or entity_ids.max() >= num_entities:
-                    raise ValueError("triplet entity id out of range")
-                if array[:, 1].min() < 0 or array[:, 1].max() >= num_relations:
-                    raise ValueError("triplet relation id out of range")
-                if num_entities * num_relations < 2 ** 62 // num_entities:
-                    keys = np.unique(
-                        (array[:, 0] * np.int64(num_relations) + array[:, 1])
-                        * np.int64(num_entities) + array[:, 2])
-                    self.heads = keys // (num_entities * num_relations)
-                    remainder = keys % (num_entities * num_relations)
-                    self.relations = remainder // num_entities
-                    self.tails = remainder % num_entities
-                else:  # composite key would overflow int64
-                    array = np.unique(array, axis=0)
-                    self.heads = array[:, 0].copy()
-                    self.relations = array[:, 1].copy()
-                    self.tails = array[:, 2].copy()
-            else:
-                self.heads = np.empty(0, dtype=np.int64)
-                self.relations = np.empty(0, dtype=np.int64)
-                self.tails = np.empty(0, dtype=np.int64)
-            return
-
-        unique = sorted(set((int(h), int(r), int(t)) for h, r, t in triplets))
-        if unique:
-            array = np.asarray(unique, dtype=np.int64)
+        array = int_rows(triplets, 3, "triplet")
+        if array.size:
+            entity_ids = array[:, [0, 2]]
+            if entity_ids.min() < 0 or entity_ids.max() >= num_entities:
+                raise ValueError("triplet entity id out of range")
+            if array[:, 1].min() < 0 or array[:, 1].max() >= num_relations:
+                raise ValueError("triplet relation id out of range")
+        # Dedup + lexicographic sort through one composite key per triplet.
+        if num_entities * num_relations < 2 ** 62 // num_entities:
+            keys = np.unique((array[:, 0] * np.int64(num_relations) + array[:, 1])
+                             * np.int64(num_entities) + array[:, 2])
+            self.heads = keys // (num_entities * num_relations)
+            remainder = keys % (num_entities * num_relations)
+            self.relations = remainder // num_entities
+            self.tails = remainder % num_entities
+        else:  # composite key would overflow int64
+            array = np.unique(array, axis=0)
             self.heads = array[:, 0].copy()
             self.relations = array[:, 1].copy()
             self.tails = array[:, 2].copy()
-        else:
-            self.heads = np.empty(0, dtype=np.int64)
-            self.relations = np.empty(0, dtype=np.int64)
-            self.tails = np.empty(0, dtype=np.int64)
-
-        if self.heads.size:
-            entity_ids = np.concatenate([self.heads, self.tails])
-            if entity_ids.min() < 0 or entity_ids.max() >= num_entities:
-                raise ValueError("triplet entity id out of range")
-            if self.relations.min() < 0 or self.relations.max() >= num_relations:
-                raise ValueError("triplet relation id out of range")
 
     # ------------------------------------------------------------------
     @property

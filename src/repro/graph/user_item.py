@@ -12,6 +12,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .knowledge import int_rows
+
 
 class UserItemGraph:
     """Bipartite implicit-feedback interaction graph.
@@ -22,7 +24,8 @@ class UserItemGraph:
         Sizes of the user and item id spaces (ids are dense in
         ``[0, num_users)`` / ``[0, num_items)``).
     interactions:
-        Iterable of ``(user, item)`` pairs.  Duplicates are dropped.
+        ``(n, 2)`` array or iterable of ``(user, item)`` pairs.
+        Duplicates are dropped; the arrays are sorted by pair.
     """
 
     def __init__(self, num_users: int, num_items: int,
@@ -32,55 +35,23 @@ class UserItemGraph:
         self.num_users = int(num_users)
         self.num_items = int(num_items)
 
-        if isinstance(interactions, np.ndarray):
-            # Array fast path for generator-scale populations: dedup +
-            # lexicographic sort via composite keys, no per-pair Python
-            # objects.  Same (users, items) arrays as the tuple path.
-            array = np.ascontiguousarray(interactions, dtype=np.int64)
-            if array.size and (array.ndim != 2 or array.shape[1] != 2):
-                raise ValueError(
-                    "interaction array must have shape (n, 2)")
-            if array.size:
-                if array[:, 0].min() < 0 or array[:, 0].max() >= num_users:
-                    raise ValueError("interaction user id out of range")
-                if array[:, 1].min() < 0 or array[:, 1].max() >= num_items:
-                    raise ValueError("interaction item id out of range")
-                keys = np.unique(array[:, 0] * np.int64(num_items)
-                                 + array[:, 1])
-                users = keys // num_items
-                items = keys % num_items
-            else:
-                users = np.empty(0, dtype=np.int64)
-                items = np.empty(0, dtype=np.int64)
-        else:
-            pairs = sorted(set((int(u), int(i)) for u, i in interactions))
-            if pairs:
-                users = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-                items = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-            else:
-                users = np.empty(0, dtype=np.int64)
-                items = np.empty(0, dtype=np.int64)
-            if users.size:
-                if users.min() < 0 or users.max() >= num_users:
-                    raise ValueError("interaction user id out of range")
-                if items.min() < 0 or items.max() >= num_items:
-                    raise ValueError("interaction item id out of range")
-        self.users = users
-        self.items = items
+        array = int_rows(interactions, 2, "interaction")
+        if array.size:
+            if array[:, 0].min() < 0 or array[:, 0].max() >= num_users:
+                raise ValueError("interaction user id out of range")
+            if array[:, 1].min() < 0 or array[:, 1].max() >= num_items:
+                raise ValueError("interaction item id out of range")
+        # Dedup + lexicographic sort through one composite key per pair.
+        keys = np.unique(array[:, 0] * np.int64(num_items) + array[:, 1])
+        self.users = keys // num_items
+        self.items = keys % num_items
         # Built on first membership query: a million-user graph should
         # not pay for a million Python sets at construction time.
         self._positives: Optional[Dict[int, Set[int]]] = None
 
     def _positive_sets(self) -> Dict[int, Set[int]]:
         if self._positives is None:
-            positives: Dict[int, Set[int]] = {}
-            if self.users.size:
-                uniq, starts = np.unique(self.users, return_index=True)
-                bounds = np.append(starts, self.users.size)
-                for k, user in enumerate(uniq.tolist()):
-                    positives[user] = set(
-                        self.items[bounds[k]:bounds[k + 1]].tolist())
-            self._positives = positives
+            self._positives = positives_by_user(self.users, self.items)
         return self._positives
 
     # ------------------------------------------------------------------
@@ -121,19 +92,33 @@ class UserItemGraph:
         """
         allowed = np.zeros(self.num_items, dtype=bool)
         allowed[np.asarray(list(allowed_items), dtype=np.int64)] = True
-        mask = allowed[self.items]
-        return UserItemGraph(self.num_users, self.num_items,
-                             zip(self.users[mask].tolist(), self.items[mask].tolist()))
+        return self.masked(allowed[self.items])
 
     def restrict_users(self, allowed_users: Sequence[int]) -> "UserItemGraph":
         """Return a copy containing only interactions by ``allowed_users``
         (new-user splits of §V-D)."""
         allowed = np.zeros(self.num_users, dtype=bool)
         allowed[np.asarray(list(allowed_users), dtype=np.int64)] = True
-        mask = allowed[self.users]
+        return self.masked(allowed[self.users])
+
+    def masked(self, mask: np.ndarray) -> "UserItemGraph":
+        """Return a copy holding the interactions where ``mask`` (a boolean
+        array over :attr:`users`/:attr:`items`) is set."""
         return UserItemGraph(self.num_users, self.num_items,
-                             zip(self.users[mask].tolist(), self.items[mask].tolist()))
+                             np.stack([self.users[mask], self.items[mask]],
+                                      axis=1))
 
     def __repr__(self) -> str:
         return (f"UserItemGraph(users={self.num_users}, items={self.num_items}, "
                 f"interactions={self.num_interactions})")
+
+
+def positives_by_user(users: np.ndarray, items: np.ndarray) -> Dict[int, Set[int]]:
+    """``{user: set of items}`` from user-sorted parallel arrays, with the
+    users in ascending order."""
+    positives: Dict[int, Set[int]] = {}
+    if users.size:
+        uniq, starts = np.unique(users, return_index=True)
+        for user, chunk in zip(uniq.tolist(), np.split(items, starts[1:])):
+            positives[user] = set(chunk.tolist())
+    return positives

@@ -209,8 +209,7 @@ class GNNLinkPredictor:
         if triplets.size == 0:
             raise ValueError("no training triplets")
         # the propagation graph uses training triplets only
-        train_kg = KnowledgeGraph(kg.num_entities, kg.num_relations,
-                                  [tuple(row) for row in triplets])
+        train_kg = KnowledgeGraph(kg.num_entities, kg.num_relations, triplets)
         self.model = self.MODELS[config.model](
             train_kg, dim=config.dim, num_layers=config.num_layers,
             rng=np.random.default_rng(config.seed))

@@ -95,8 +95,7 @@ class SubgraphLinkPredictor:
         if triplets.size == 0:
             raise ValueError("no training triplets")
         # Build the propagation graph from the *training* triplets only.
-        train_kg = KnowledgeGraph(kg.num_entities, kg.num_relations,
-                                  [tuple(row) for row in triplets])
+        train_kg = KnowledgeGraph(kg.num_entities, kg.num_relations, triplets)
         self.graph = relational_graph_from_kg(train_kg)
         self._num_query_relations = kg.num_relations
 

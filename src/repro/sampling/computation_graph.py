@@ -251,20 +251,22 @@ def record_graph_instruments(graph: ComputationGraph) -> None:
 
 
 def _top_k_per_group(groups: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` highest-scored elements within each group.
+    """Sorted indices of the ``k`` highest-scored elements within each group.
 
-    ``groups`` must be non-decreasing (guaranteed by the CSR expansion
-    order).  Ties break arbitrarily but deterministically.
+    ``groups`` must be non-negative and non-decreasing (guaranteed by the
+    CSR expansion order).  A group of at most ``k`` elements keeps all of
+    them (Alg. 1, lines 3-5), so only larger groups are ranked.  Ties
+    break by index.
     """
-    order = np.lexsort((-scores, groups))
-    sorted_groups = groups[order]
-    # Rank within group: position minus the index where the group starts.
-    is_start = np.empty(sorted_groups.size, dtype=bool)
-    is_start[0] = True
-    np.not_equal(sorted_groups[1:], sorted_groups[:-1], out=is_start[1:])
-    group_start = np.maximum.accumulate(np.where(is_start, np.arange(sorted_groups.size), 0))
-    rank = np.arange(sorted_groups.size) - group_start
-    return np.sort(order[rank < k])
+    sizes = np.bincount(groups)
+    keep = (sizes <= k)[groups]
+    ranked = np.flatnonzero(~keep)
+    order = ranked[np.lexsort((-scores[ranked], groups[ranked]))]
+    # Rank within group: position minus where the group starts in ``order``.
+    large = sizes[sizes > k]
+    rank = np.arange(order.size) - np.repeat(np.cumsum(large) - large, large)
+    keep[order[rank < k]] = True
+    return np.flatnonzero(keep)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,21 @@ Incremental maintenance keeps the whole-part loop it replaced:
   and residual array, ``changed_users``, ``push_ops`` and the shards it
   rewrites.  Only the per-part ``residual`` totals differ, by the
   float32 rounding of the stored entries.
+
+Dataset construction keeps the Python loops and tuple paths that the
+array code replaced; each is bitwise equal to its replacement (arrays,
+dtypes, RNG state afterwards, ``ValueError`` messages):
+
+* :func:`reference_sample_interactions` — one ``+= 1.0`` per (taste
+  attribute, item), equal to ``repro.data.synthetic._sample_interactions``;
+* :func:`reference_user_item_arrays` / :func:`reference_knowledge_arrays`
+  — the ``sorted(set(...))`` tuple paths of the ``UserItemGraph`` and
+  ``KnowledgeGraph`` constructors;
+* :func:`reference_traditional_split` — per-user sets and pair lists,
+  equal to ``repro.data.traditional_split``;
+* :func:`reference_top_k_per_group` — lexsorts every expanded edge,
+  equal to ``repro.sampling.computation_graph._top_k_per_group``, which
+  ranks only the groups larger than K.
 """
 
 import numpy as np
@@ -203,3 +218,116 @@ def reference_incremental_push(ckg, scores, new_interactions,
         ckg=new_ckg, scores=new_scores,
         changed_users=np.concatenate(changed),
         push_ops=sum(sweep_ops) + int(ins_heads.size))
+
+
+def reference_sample_interactions(rng, config, item_shared_attrs, user_tastes):
+    """Popularity × attribute-affinity sampling with per-item Python adds;
+    returns the list of ``(user, item)`` tuples."""
+    num_items = config.num_items
+    ranks = rng.permutation(num_items) + 1
+    popularity = 1.0 / ranks.astype(np.float64) ** config.popularity_exponent
+
+    attr_index = {}
+    for item, attrs in enumerate(item_shared_attrs):
+        for attr in set(attrs):
+            attr_index.setdefault(attr, []).append(item)
+
+    pairs = []
+    for user, taste in enumerate(user_tastes):
+        affinity = np.zeros(num_items)
+        for attr in taste:
+            for item in attr_index.get(attr, ()):
+                affinity[item] += 1.0
+        weights = popularity * np.exp(config.affinity_sharpness
+                                      * np.minimum(affinity, 3.0))
+        weights /= weights.sum()
+
+        degree = max(2, int(rng.poisson(config.mean_degree)))
+        degree = min(degree, num_items)
+        chosen = rng.choice(num_items, size=degree, replace=False, p=weights)
+        pairs.extend((user, int(item)) for item in chosen)
+    return pairs
+
+
+def reference_user_item_arrays(num_users, num_items, interactions):
+    """``(users, items)`` of ``UserItemGraph`` through sorted tuple sets."""
+    pairs = sorted(set((int(u), int(i)) for u, i in interactions))
+    if pairs:
+        users = np.fromiter((p[0] for p in pairs), dtype=np.int64,
+                            count=len(pairs))
+        items = np.fromiter((p[1] for p in pairs), dtype=np.int64,
+                            count=len(pairs))
+    else:
+        users = np.empty(0, dtype=np.int64)
+        items = np.empty(0, dtype=np.int64)
+    if users.size:
+        if users.min() < 0 or users.max() >= num_users:
+            raise ValueError("interaction user id out of range")
+        if items.min() < 0 or items.max() >= num_items:
+            raise ValueError("interaction item id out of range")
+    return users, items
+
+
+def reference_knowledge_arrays(num_entities, num_relations, triplets):
+    """``(heads, relations, tails)`` of ``KnowledgeGraph`` through sorted
+    tuple sets."""
+    unique = sorted(set((int(h), int(r), int(t)) for h, r, t in triplets))
+    if unique:
+        array = np.asarray(unique, dtype=np.int64)
+        heads = array[:, 0].copy()
+        relations = array[:, 1].copy()
+        tails = array[:, 2].copy()
+    else:
+        heads = np.empty(0, dtype=np.int64)
+        relations = np.empty(0, dtype=np.int64)
+        tails = np.empty(0, dtype=np.int64)
+    if heads.size:
+        entity_ids = np.concatenate([heads, tails])
+        if entity_ids.min() < 0 or entity_ids.max() >= num_entities:
+            raise ValueError("triplet entity id out of range")
+        if relations.min() < 0 or relations.max() >= num_relations:
+            raise ValueError("triplet relation id out of range")
+    return heads, relations, tails
+
+
+def reference_traditional_split(dataset, test_fraction=0.2, seed=0):
+    """``(train_users, train_items, test_positives)`` of the per-user
+    holdout split, looping over each user's positive set."""
+    rng = np.random.default_rng(seed)
+    ui = dataset.ui_graph
+    train_pairs = []
+    test_map = {}
+    for user in ui.users_with_interactions():
+        items = sorted(ui.positives(user))
+        if len(items) < 2:
+            train_pairs.extend((user, item) for item in items)
+            continue
+        shuffled = list(items)
+        rng.shuffle(shuffled)
+        num_test = max(1, int(round(len(items) * test_fraction)))
+        num_test = min(num_test, len(items) - 1)
+        held = set(shuffled[:num_test])
+        test_map[user] = held
+        train_pairs.extend((user, item) for item in items if item not in held)
+
+    users, items = reference_user_item_arrays(ui.num_users, ui.num_items,
+                                              train_pairs)
+    trained_items = {int(i) for i in items}
+    cleaned = {user: {i for i in held if i in trained_items}
+               for user, held in test_map.items()}
+    cleaned = {user: held for user, held in cleaned.items() if held}
+    return users, items, cleaned
+
+
+def reference_top_k_per_group(groups, scores, k):
+    """Sorted indices of each group's ``k`` best scores, every element
+    ranked by one lexsort."""
+    order = np.lexsort((-scores, groups))
+    sorted_groups = groups[order]
+    is_start = np.empty(sorted_groups.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(sorted_groups[1:], sorted_groups[:-1], out=is_start[1:])
+    group_start = np.maximum.accumulate(
+        np.where(is_start, np.arange(sorted_groups.size), 0))
+    rank = np.arange(sorted_groups.size) - group_start
+    return np.sort(order[rank < k])

@@ -12,6 +12,8 @@ from repro.sampling import (build_ui_computation_graph,
                             build_user_centric_graph, ui_subgraph_layers)
 from repro.sampling.computation_graph import _top_k_per_group
 
+from .reference_ops import reference_top_k_per_group
+
 
 @pytest.fixture(scope="module")
 def ckg():
@@ -234,6 +236,21 @@ class TestTopKPerGroup:
             # kept scores dominate dropped scores
             if kept.any() and (members & ~kept_mask).any():
                 assert scores[kept].min() >= scores[members & ~kept_mask].max() - 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=60),
+           st.data(), st.integers(1, 5))
+    def test_bitwise_equal_to_full_lexsort(self, groups, data, k):
+        """Ranking only groups larger than k keeps the same index array,
+        ties (few distinct scores) included."""
+        groups = np.sort(np.asarray(groups, dtype=np.int64))
+        scores = np.asarray(data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+            min_size=groups.size, max_size=groups.size)))
+        keep = _top_k_per_group(groups, scores, k)
+        expected = reference_top_k_per_group(groups, scores, k)
+        assert keep.dtype == expected.dtype
+        assert np.array_equal(keep, expected)
 
 
 class TestPrunedSubsetInvariant:

@@ -2,11 +2,10 @@
 
 from .charts import ascii_bar_chart, ascii_curve, learning_curves
 from .diagnostics import (computation_graph_stats, dataset_report,
-                          degree_histogram, ppr_storage_report,
-                          reach_statistics)
+                          degree_histogram, reach_statistics)
 
 __all__ = [
     "ascii_curve", "ascii_bar_chart", "learning_curves",
     "degree_histogram", "computation_graph_stats", "reach_statistics",
-    "ppr_storage_report", "dataset_report",
+    "dataset_report",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..data import Dataset, Split
 from ..graph import CollaborativeKG
-from ..ppr import PPRScoreLike, SparsePPRScores
+from ..ppr import PPRScoreLike
 from ..sampling import (ComputationGraph, build_user_centric_graph,
                         record_graph_instruments)
 
@@ -88,39 +88,6 @@ def reach_statistics(ckg: CollaborativeKG, users: Sequence[int], depth: int,
         "mean_item_reach": float(np.mean(fractions)),
         "min_item_reach": float(np.min(fractions)),
         "max_item_reach": float(np.max(fractions)),
-    }
-
-
-def ppr_storage_report(scores: PPRScoreLike) -> Dict[str, float]:
-    """Resident footprint of a PPR score structure, either backend.
-
-    ``score_bytes`` matches the ``ppr.score_bytes`` telemetry gauge;
-    ``fill`` is the stored fraction of the logical U x N matrix (1.0 for
-    the dense backend), the direct measure of what top-M storage saves.
-    """
-    if not isinstance(scores, np.ndarray):
-        # Both CSR backends (in-RAM and mmap'd shards) expose the same
-        # num_rows/nnz/nbytes surface; only the label differs.
-        from ..storage import ShardedPPRScores
-        sharded = isinstance(scores, ShardedPPRScores)
-        logical = scores.num_rows * scores.num_nodes
-        report = {
-            "backend": "push-mmap" if sharded else "push",
-            "rows": scores.num_rows,
-            "score_bytes": float(scores.nbytes),
-            "stored_entries": float(scores.nnz),
-            "fill": scores.nnz / max(logical, 1),
-        }
-        if sharded:
-            report["shards"] = float(scores.num_shards)
-        return report
-    scores = np.asarray(scores)
-    return {
-        "backend": "power",
-        "rows": scores.shape[0],
-        "score_bytes": float(scores.nbytes),
-        "stored_entries": float(scores.size),
-        "fill": 1.0,
     }
 
 

@@ -210,12 +210,11 @@ def _build_graph_build(scale: float, batch_users: int, depth: int, k: int):
     _, _, ckg = _ckg(scale)
     users = list(range(min(batch_users, ckg.num_users)))
     scores = personalized_pagerank_batch(ckg, users).scores
-    degrees = np.diff(ckg.indptr).astype(np.float64)
-    scores = scores / np.maximum(degrees, 1.0)[None, :]
 
     def run():
         build_user_centric_graph(ckg, users, depth=depth,
-                                 ppr_scores=scores, k=k)
+                                 ppr_scores=scores, k=k,
+                                 degree_normalized=True)
 
     return run
 

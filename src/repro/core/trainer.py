@@ -73,11 +73,6 @@ class TrainConfig:
     ppr_epsilon: float = 1e-4
     #: retained score entries per user (``ppr_method="push"`` only)
     ppr_top_m: int = 256
-    #: early-stop tolerance for the power iteration's max-norm update;
-    #: saved sweeps show up in the ``ppr.sweeps`` counter.  The default
-    #: is small enough to never fire within the paper's 20 iterations,
-    #: so it only trims configs that raise ``ppr_iterations``.
-    ppr_tolerance: float = 1e-9
     #: users processed per preprocessing chunk (bounds peak temporary
     #: memory for both backends)
     ppr_chunk_users: int = 64
@@ -91,7 +86,8 @@ class TrainConfig:
     #: tempdir reclaimed when the recommender is garbage-collected; an
     #: explicit path is created if missing and left behind.
     ppr_store_dir: Optional[str] = None
-    #: rank pruned edges by ``r_u[v] / deg(v)`` instead of raw PPR mass.
+    #: rank pruned edges by ``r_u[v] / deg(v)`` instead of raw PPR mass
+    #: (the pruner divides at lookup; the score store stays as solved).
     #: On the symmetrized CKG, walk reversibility makes the
     #: degree-normalized score proportional to the probability that a
     #: walk *from v* reaches u — i.e. the "importance of other nodes to
@@ -139,7 +135,8 @@ class KUCNetRecommender:
         self.model: Optional[KUCNet] = None
         self.ckg: Optional[CollaborativeKG] = None
         #: dense ``(num_users, num_nodes)`` ndarray (``ppr_method="power"``)
-        #: or :class:`~repro.ppr.SparsePPRScores` (``"push"``)
+        #: or :class:`~repro.ppr.SparsePPRScores` (``"push"``), exactly
+        #: as the solver wrote it
         self.ppr_scores: Optional[PPRScoreLike] = None
         self.optimizer: Optional[Adam] = None
         #: populated when ``train_config.health_policy`` is set
@@ -170,18 +167,6 @@ class KUCNetRecommender:
         if self.health_monitor is not None and residual is not None:
             check_ppr_residual(residual, self.ckg.num_users,
                                self.health_monitor)
-        if self.train_config.ppr_degree_normalized:
-            degrees = np.diff(self.ckg.indptr).astype(np.float64)
-            # np.memmap subclasses ndarray, so its branch must come
-            # first — the ndarray branch would densify the whole matrix
-            # into RAM, defeating the out-of-core tier.
-            if isinstance(self.ppr_scores, np.memmap):
-                self.ppr_scores = _normalize_memmap(self.ppr_scores,
-                                                    degrees)
-            elif isinstance(self.ppr_scores, np.ndarray):
-                self.ppr_scores = self.ppr_scores / np.maximum(degrees, 1.0)[None, :]
-            else:
-                self.ppr_scores.normalize_by_degree(degrees)
         self.model = KUCNet(self.ckg.num_relations, self.model_config)
         self._graph_cache.clear()
         self._graph_cache_entries = 1
@@ -285,7 +270,7 @@ class KUCNetRecommender:
                 self.ckg, users,
                 os.path.join(self.ppr_store_dir, "power_scores.npy"),
                 alpha=config.ppr_alpha, iterations=config.ppr_iterations,
-                chunk_users=chunk, tolerance=config.ppr_tolerance)
+                chunk_users=chunk)
         adjacency = self.ckg.normalized_adjacency()
         if mmap:
             out_path = os.path.join(self.ppr_store_dir, "power_scores.npy")
@@ -298,7 +283,7 @@ class KUCNetRecommender:
             parts = run_parallel(
                 _ppr_power_chunk, chunks,
                 context=(self.ckg, adjacency, config.ppr_alpha,
-                         config.ppr_iterations, config.ppr_tolerance),
+                         config.ppr_iterations),
                 num_workers=workers, label="ppr.power")
             offset = 0
             for piece, part in zip(chunks, parts):
@@ -309,7 +294,7 @@ class KUCNetRecommender:
                 part = personalized_pagerank_batch(
                     self.ckg, users[start:start + chunk],
                     alpha=config.ppr_alpha, iterations=config.ppr_iterations,
-                    adjacency=adjacency, tolerance=config.ppr_tolerance)
+                    adjacency=adjacency)
                 dense[start:start + chunk] = part.scores
         if mmap:
             dense.flush()
@@ -531,7 +516,8 @@ class KUCNetRecommender:
         cached = build_user_centric_graph(
             self.ckg, list(users), depth=self.model_config.depth,
             ppr_scores=self._ppr_rows(users),
-            k=self.train_config.k, sampler="ppr")
+            k=self.train_config.k, sampler="ppr",
+            degree_normalized=self.train_config.ppr_degree_normalized)
         self.graph_cache_misses += 1
         telemetry.counter("train.graph_cache_misses")
         self._graph_cache[users] = cached
@@ -574,7 +560,8 @@ class KUCNetRecommender:
                         else None),
             k=k,
             sampler=self.train_config.sampler,
-            rng=self._rng)
+            rng=self._rng,
+            degree_normalized=self.train_config.ppr_degree_normalized)
         return self.model.propagate(graph,
                                     collect_attention=collect_attention)
 
@@ -632,7 +619,8 @@ class KUCNetRecommender:
             self.ckg, users, depth=self.model_config.depth,
             ppr_scores=(self._ppr_rows(users)
                         if k is not None and sampler == "ppr" else None),
-            k=k, sampler=sampler, rng=self._rng)
+            k=k, sampler=sampler, rng=self._rng,
+            degree_normalized=self.train_config.ppr_degree_normalized)
         return graph.total_edges()
 
     @property
@@ -692,8 +680,9 @@ class KUCNetRecommender:
         with np.load(path) as archive:
             model_config = json.loads(bytes(archive["config::model"].tobytes()))
             train_config = json.loads(bytes(archive["config::train"].tobytes()))
-            # a deleted TrainConfig field, still in older saved models
+            # deleted TrainConfig fields, still in older saved models
             train_config.pop("graph_cache_entries", None)
+            train_config.pop("ppr_tolerance", None)
             if isinstance(train_config.get("k"), list):
                 train_config["k"] = tuple(train_config["k"])
             state = {key[len("param::"):]: archive[key]
@@ -720,25 +709,6 @@ def _npz_path(path: str) -> str:
     return path if path.endswith(".npz") else path + ".npz"
 
 
-def _normalize_memmap(scores: np.memmap, degrees: np.ndarray,
-                      chunk_rows: int = 64) -> np.memmap:
-    """Degree-normalize an on-disk dense score matrix, chunk by chunk.
-
-    Reopens the backing file writable, divides row blocks in place with
-    the same float64 arithmetic as the in-RAM path (so the stored values
-    stay bitwise-identical to it), and hands back a read-only map.
-    """
-    path = scores.filename
-    del scores
-    writable = np.load(path, mmap_mode="r+")
-    divisor = np.maximum(degrees, 1.0)[None, :]
-    for start in range(0, writable.shape[0], chunk_rows):
-        writable[start:start + chunk_rows] /= divisor
-    writable.flush()
-    del writable
-    return np.load(path, mmap_mode="r")
-
-
 # ----------------------------------------------------------------------
 # Worker functions for the PPR precompute fan-out (module-level so the
 # process pool can import them by reference; see repro.parallel)
@@ -753,8 +723,8 @@ def _ppr_push_chunk(context, chunk: np.ndarray):
 
 def _ppr_power_chunk(context, chunk: np.ndarray) -> np.ndarray:
     """Power-iterate one user chunk against the shared adjacency."""
-    ckg, adjacency, alpha, iterations, tolerance = context
+    ckg, adjacency, alpha, iterations = context
     part = personalized_pagerank_batch(
         ckg, chunk, alpha=alpha, iterations=iterations,
-        adjacency=adjacency, tolerance=tolerance)
+        adjacency=adjacency)
     return part.scores

@@ -15,7 +15,7 @@ import numpy as np
 from .. import telemetry
 from ..autodiff import no_tape
 from ..data import Split
-from ..parallel import resolve_workers, run_parallel
+from ..parallel import run_parallel
 from .metrics import ndcg_at_n, rank_items, recall_at_n
 
 
@@ -124,13 +124,9 @@ def evaluate(model: Scorer, split: Split, n: int = 20,
 
     batches = [users[start:start + batch_size]
                for start in range(0, len(users), batch_size)]
-    context = (model, split, n, health)
-    workers = resolve_workers(num_workers)
-    if workers > 1 and len(batches) > 1:
-        outputs = run_parallel(_evaluate_batch, batches, context=context,
-                               num_workers=workers, label="eval")
-    else:
-        outputs = [_evaluate_batch(context, batch) for batch in batches]
+    outputs = run_parallel(_evaluate_batch, batches,
+                           context=(model, split, n, health),
+                           num_workers=num_workers, label="eval")
 
     per_user_recall: Dict[int, float] = {}
     per_user_ndcg: Dict[int, float] = {}

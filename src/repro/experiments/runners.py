@@ -324,14 +324,13 @@ def run_ppr_backends(profile: Optional[Profile] = None,
     truth = personalized_pagerank_batch(ckg, users, iterations=300,
                                         tolerance=1e-14)
     truth_norm = truth.scores / np.maximum(degrees, 1.0)[None, :]
-    power_norm = power.scores / np.maximum(degrees, 1.0)[None, :]
-    push.normalize_by_degree(degrees)
 
     batch = users[:overlap_users]
 
     def pruned_edges(scores):
         graph = build_user_centric_graph(ckg, batch, depth=depth,
-                                         ppr_scores=scores, k=k)
+                                         ppr_scores=scores, k=k,
+                                         degree_normalized=True)
         edges = {}
         for level, layer in enumerate(graph.layers):
             slots = graph.slots[level][layer.src_pos]
@@ -341,14 +340,14 @@ def run_ppr_backends(profile: Optional[Profile] = None,
                     float(truth_norm[batch[int(slot)], int(tail)])
         return edges
 
-    reference = pruned_edges(truth_norm[batch])
+    reference = pruned_edges(truth.scores[batch])
     reference_mass = sum(reference.values()) or 1.0
     rows: Dict[str, Dict[str, float]] = {
         "Precompute (s)": {}, "Score storage (MB)": {},
         "Mass retention @K": {}, "Edge overlap @K": {},
     }
     for name, seconds, scores, nbytes in (
-            ("power", power_seconds, power_norm[batch], power.scores.nbytes),
+            ("power", power_seconds, power.scores[batch], power.scores.nbytes),
             ("push", push_seconds, push.select(batch), push.nbytes)):
         edges = pruned_edges(scores)
         kept = sum(mass for key, mass in reference.items() if key in edges)

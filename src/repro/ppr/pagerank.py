@@ -139,8 +139,7 @@ def personalized_pagerank_batch(ckg: CollaborativeKG, users: Sequence[int],
 def personalized_pagerank_mmap(ckg: CollaborativeKG, users: Sequence[int],
                                out_path: str, alpha: float = DEFAULT_ALPHA,
                                iterations: int = DEFAULT_ITERATIONS,
-                               chunk_users: int = 64,
-                               tolerance: float = 0.0) -> np.ndarray:
+                               chunk_users: int = 64) -> np.ndarray:
     """Power-iteration PPR written chunk-by-chunk into an on-disk array.
 
     The out-of-core counterpart of :func:`personalized_pagerank_batch`
@@ -167,7 +166,7 @@ def personalized_pagerank_mmap(ckg: CollaborativeKG, users: Sequence[int],
             chunk = user_array[start:start + chunk_users]
             part = personalized_pagerank_batch(
                 ckg, chunk, alpha=alpha, iterations=iterations,
-                adjacency=matrix, tolerance=tolerance)
+                adjacency=matrix)
             out[start:start + chunk.size] = part.scores
     out.flush()
     del out

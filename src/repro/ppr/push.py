@@ -246,16 +246,6 @@ class SparsePPRScores:
             indptr=indptr, node_ids=self.node_ids[positions],
             values=self.values[positions], residual=self.residual)
 
-    def normalize_by_degree(self, degrees: np.ndarray) -> None:
-        """Divide stored values by ``max(deg(node), 1)`` in place.
-
-        Sparse equivalent of the trainer's degree-normalized ranking
-        (``r_u[v] / deg(v)``); zeros stay zeros, so only retained
-        entries need touching.
-        """
-        degrees = np.maximum(np.asarray(degrees, dtype=np.float64), 1.0)
-        self.values /= degrees[self.node_ids].astype(np.float32)
-
     # ------------------------------------------------------------------
     # Maintenance protocol, shared with ShardedPPRScores
     # ------------------------------------------------------------------
@@ -287,8 +277,8 @@ class SparsePPRScores:
         The in-RAM counterpart of
         :meth:`~repro.storage.ShardedPPRScores.rewrite`.  Every part is
         copied, moved or not, so the result never shares an array with
-        this structure (whose values :meth:`normalize_by_degree` divides
-        in place).
+        this structure: each version owns its arrays, as each shard
+        version owns its files.
         """
         return concat_sparse_scores(part for part, _ in parts)
 

@@ -123,6 +123,7 @@ def build_user_centric_graph(
     k: Optional[Union[int, Sequence[Optional[int]]]] = None,
     sampler: str = "ppr",
     rng: Optional[np.random.Generator] = None,
+    degree_normalized: bool = False,
 ) -> ComputationGraph:
     """Build (optionally pruned) user-centric computation graphs, batched.
 
@@ -137,10 +138,10 @@ def build_user_centric_graph(
     ppr_scores:
         ``(len(users), num_nodes)`` dense PPR score matrix or a
         :class:`~repro.ppr.SparsePPRScores` row subset (row per slot
-        either way).  Required when ``sampler == "ppr"`` and ``k`` is
-        set.  Entries missing from the sparse backend score 0.0, which
-        ranks them last — exactly the pruner's intent for nodes outside
-        a user's top-M mass.
+        either way), as the solver wrote it.  Required when
+        ``sampler == "ppr"`` and ``k`` is set.  Entries missing from the
+        sparse backend score 0.0, which ranks them last — exactly the
+        pruner's intent for nodes outside a user's top-M mass.
     k:
         Per-head-node edge budget (Algorithm 1 line 4).  ``None`` disables
         pruning — that is the ``KUCNet-w.o.-PPR`` variant.  A sequence of
@@ -153,6 +154,10 @@ def build_user_centric_graph(
         uniform sample (the ``KUCNet-random`` ablation).
     rng:
         Randomness source for ``sampler == "random"``.
+    degree_normalized:
+        Rank by ``r_u[v] / max(outdeg(v), 1)`` instead of the raw score
+        (``TrainConfig.ppr_degree_normalized``), divided at lookup in
+        the scores' own dtype.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -196,13 +201,8 @@ def build_user_centric_graph(
                 with telemetry.span("ppr.prune"):
                     expanded = src_pos.size
                     if sampler == "ppr":
-                        # Dense ndarrays index directly; every other
-                        # backend (in-RAM CSR, mmap'd shards) serves the
-                        # gather through their shared ``lookup``.
-                        if isinstance(ppr_scores, np.ndarray):
-                            scores = ppr_scores[edge_slots, tails]
-                        else:
-                            scores = ppr_scores.lookup(edge_slots, tails)
+                        scores = _edge_scores(ckg, ppr_scores, edge_slots,
+                                              tails, degree_normalized)
                     else:
                         scores = rng.random(src_pos.size)
                     keep = _top_k_per_group(src_pos, scores, layer_k)
@@ -248,6 +248,27 @@ def record_graph_instruments(graph: ComputationGraph) -> None:
     for level, layer in enumerate(graph.layers, start=1):
         telemetry.histogram(f"graph.edges_per_layer.l{level}",
                             layer.num_edges)
+
+
+def _edge_scores(ckg: CollaborativeKG, ppr_scores: PPRScoreLike,
+                 slots: np.ndarray, tails: np.ndarray,
+                 degree_normalized: bool) -> np.ndarray:
+    """The score the pruner ranks each ``(slot, tail)`` expansion by.
+
+    Dense ndarrays index directly; every other backend (in-RAM CSR,
+    mmap'd shards) serves the gather through their shared ``lookup``.
+    Degree normalization divides by ``max(outdeg(tail), 1)`` in the
+    scores' own dtype (float64 dense, float32 CSR), so the score stores
+    stay as solved.
+    """
+    if isinstance(ppr_scores, np.ndarray):
+        scores = ppr_scores[slots, tails]
+    else:
+        scores = ppr_scores.lookup(slots, tails)
+    if degree_normalized:
+        degrees = ckg.indptr[tails + 1] - ckg.indptr[tails]
+        scores = scores / np.maximum(degrees, 1).astype(scores.dtype)
+    return scores
 
 
 def _top_k_per_group(groups: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:

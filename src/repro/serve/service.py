@@ -20,10 +20,10 @@ arrive:
   every user — then invalidate exactly the cache entries whose rows
   changed (``serve.cache_invalidations``).
 
-The service keeps its *own* raw (un-normalized) score structure with
-residuals: the trainer degree-normalizes its copy in place for pruning,
-which would corrupt the push invariant.  Degree normalization is applied
-per-query to the selected rows instead (``select`` returns copies).
+The service keeps its *own* score structure.  The trainer's copy is raw
+too (the pruner degree-normalizes at lookup), but it lacks what
+maintenance needs: the per-user residuals the push invariant resumes
+from, and, under the push solver, the entries past ``top_m`` per user.
 
 All public methods are serialized by one re-entrant lock — correctness
 first; the HTTP layer's threads stay consistent, and the lock is held
@@ -114,8 +114,8 @@ class RecommendationService:
         """Wrap a prepared/fitted recommender for online serving.
 
         Recomputes the PPR state once with ``keep_residuals=True`` (the
-        recommender's own copy is truncated and degree-normalized in
-        place during ``prepare`` — unusable for maintenance) using the
+        recommender's own copy keeps no residuals and, under push, only
+        ``top_m`` entries per user — unusable for maintenance) using the
         recommender's solver parameters, and seeds the exclusion sets
         from the training split.
 
@@ -231,14 +231,12 @@ class RecommendationService:
     def _rank_users(self, users: List[int]) -> List[np.ndarray]:
         """One pruned-subgraph model pass ranking ``users``' items."""
         k_budget = self.train_config.k
-        rows = None
-        if k_budget is not None:
-            rows = self.scores.select(users)
-            if self.train_config.ppr_degree_normalized:
-                rows.normalize_by_degree(np.diff(self.ckg.indptr))
         graph = build_user_centric_graph(
             self.ckg, users, depth=self.model_config.depth,
-            ppr_scores=rows, k=k_budget, sampler="ppr")
+            ppr_scores=(self.scores.select(users)
+                        if k_budget is not None else None),
+            k=k_budget, sampler="ppr",
+            degree_normalized=self.train_config.ppr_degree_normalized)
         propagation = self.model.propagate(graph)
         item_scores = self.model.score_all_items(propagation,
                                                  self.ckg.item_nodes)

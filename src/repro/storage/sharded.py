@@ -18,10 +18,11 @@ same logical structure but splits it into **per-chunk shards on disk**:
   the shard files hold the exact float32/int64 arrays the RAM structure
   would.
 * :meth:`ShardedPPRScores.rewrite` is where
-  :func:`~repro.ppr.incremental_push` and degree normalization end:
-  shards whose rows moved are written under the next manifest version
-  (``storage.shards_rewritten``); the rest are carried by reference
-  (``storage.shards_reused``).
+  :func:`~repro.ppr.incremental_push` ends: shards whose rows moved are
+  written under the next manifest version (``storage.shards_rewritten``);
+  the rest are carried by reference (``storage.shards_reused``).  Nothing
+  else writes a store after its solve: the pruner degree-normalizes at
+  lookup.
 
 Pickling a :class:`ShardedPPRScores` ships only the directory path and
 settings — a spawn-started worker reopens the shards by path instead of
@@ -451,19 +452,3 @@ class ShardedPPRScores:
         store = ShardedPPRScores(self.directory, max_open=self.max_open)
         telemetry.gauge("storage.shard_bytes", store.nbytes)
         return store
-
-    def normalize_by_degree(self, degrees: np.ndarray) -> None:
-        """Divide stored values by ``max(deg(node), 1)``, shard by shard.
-
-        Each shard is divided in RAM by the in-RAM backend's own method
-        (so entries stay bitwise-identical to it) and written through
-        :meth:`rewrite`; this object then reads the new version.
-        """
-        def normalized():
-            for part in self.parts():
-                part.values = np.array(part.values)  # writable copy
-                part.normalize_by_degree(degrees)
-                yield part, True
-
-        self.rewrite(normalized())
-        self._load_manifest()

@@ -51,11 +51,21 @@ dtypes, RNG state afterwards, ``ValueError`` messages):
 * :func:`reference_top_k_per_group` — lexsorts every expanded edge,
   equal to ``repro.sampling.computation_graph._top_k_per_group``, which
   ranks only the groups larger than K.
+
+Degree-normalized pruning keeps the two store divisions it replaced;
+the pruner divides each looked-up score instead, and must rank exactly
+as it did on the divided stores:
+
+* :func:`reference_degree_normalized_dense` — the trainer's dense
+  float64 ``scores / max(deg, 1)[None, :]``;
+* :func:`reference_degree_normalized_csr` — the CSR stores' float32
+  ``values /= max(deg, 1)[node_ids]``, on a copy.
 """
 
 import numpy as np
 
 from repro.autodiff import Tensor, gather_rows, segment_sum
+from repro.ppr import SparsePPRScores
 
 
 def reference_attention_layer(layer, hidden_prev, edges, num_dst,
@@ -331,3 +341,20 @@ def reference_top_k_per_group(groups, scores, k):
         np.where(is_start, np.arange(sorted_groups.size), 0))
     rank = np.arange(sorted_groups.size) - group_start
     return np.sort(order[rank < k])
+
+
+def reference_degree_normalized_dense(scores, ckg):
+    """Dense score rows divided by ``max(outdeg, 1)`` per column, float64."""
+    degrees = np.diff(ckg.indptr).astype(np.float64)
+    return scores / np.maximum(degrees, 1.0)[None, :]
+
+
+def reference_degree_normalized_csr(scores, ckg):
+    """A copy of CSR score rows with each value divided, in float32, by
+    its node's ``max(outdeg, 1)``."""
+    degrees = np.maximum(np.diff(ckg.indptr).astype(np.float64), 1.0)
+    values = np.array(scores.values)
+    values /= degrees[scores.node_ids].astype(np.float32)
+    return SparsePPRScores(users=scores.users, num_nodes=scores.num_nodes,
+                           indptr=scores.indptr, node_ids=scores.node_ids,
+                           values=values, residual=scores.residual)

@@ -90,3 +90,20 @@ def test_repro_env_knobs_are_the_six_entry_points():
     assert names == {"REPRO_NUM_WORKERS", "REPRO_PPR_STORE",
                      "REPRO_PROFILE", "REPRO_PPR_METHOD",
                      "REPRO_RUNS_DIR", "REPRO_METRICS_PORT"}
+
+
+def test_train_config_fields_are_pinned():
+    """``TrainConfig`` holds these 22 fields and no others.  A new field
+    is a new option; it has to be added here on purpose, next to the
+    knob guard above, and a field nothing sets should be deleted."""
+    import dataclasses
+
+    from repro.core import TrainConfig
+
+    assert [field.name for field in dataclasses.fields(TrainConfig)] == [
+        "epochs", "batch_users", "pairs_per_user", "learning_rate",
+        "weight_decay", "k", "sampler", "ppr_alpha", "ppr_iterations",
+        "ppr_method", "ppr_epsilon", "ppr_top_m", "ppr_chunk_users",
+        "ppr_store", "ppr_store_dir", "ppr_degree_normalized",
+        "num_workers", "seed", "verbose", "patience", "min_improvement",
+        "health_policy"]

@@ -242,8 +242,8 @@ class TestIncrementalPush:
 
     def test_untouched_single_part_result_shares_no_array(self):
         """A one-part store the write never reaches is carried, not
-        re-encoded; the result must still own its arrays, because
-        ``normalize_by_degree`` divides them in place."""
+        re-encoded; the result must still own its arrays, so that each
+        version stays as it was written."""
         graph = _two_component_ckg()
         base = forward_push_batch(graph, [0, 1], epsilon=1e-5,
                                   keep_residuals=True)
@@ -251,7 +251,6 @@ class TestIncrementalPush:
         residuals_before = base.res_values.copy()
         result = incremental_push(graph, base, [(2, 3)])
         assert result.changed_users.size == 0
-        result.scores.normalize_by_degree(np.diff(result.ckg.indptr))
         np.testing.assert_array_equal(base.values, values_before)
         np.testing.assert_array_equal(base.res_values, residuals_before)
         for name in ("users", "indptr", "node_ids", "values", "res_indptr",

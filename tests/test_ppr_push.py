@@ -396,12 +396,6 @@ class TestSparseScores:
         with pytest.raises(IndexError):
             scores.lookup(np.array([-3]), np.array([2]))
 
-    def test_normalize_by_degree(self, scores):
-        degrees = np.arange(10, dtype=np.int64)  # node 0 has degree 0
-        expected = scores.toarray() / np.maximum(degrees, 1)
-        scores.normalize_by_degree(degrees)
-        np.testing.assert_allclose(scores.toarray(), expected, rtol=1e-6)
-
     def test_nbytes_and_nnz(self, scores):
         assert scores.nnz == 4
         dense_bytes = 2 * 10 * 8

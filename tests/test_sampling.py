@@ -1,5 +1,8 @@
 """Tests for computation graphs: structure, pruning, and Proposition 1."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,15 @@ from hypothesis import strategies as st
 
 from repro.data import lastfm_like
 from repro.graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
-from repro.ppr import personalized_pagerank_batch
+from repro.ppr import personalized_pagerank_batch, sparsify_scores
 from repro.sampling import (build_ui_computation_graph,
                             build_user_centric_graph, ui_subgraph_layers)
-from repro.sampling.computation_graph import _top_k_per_group
+from repro.sampling.computation_graph import _edge_scores, _top_k_per_group
+from repro.storage import ShardWriter
 
-from .reference_ops import reference_top_k_per_group
+from .reference_ops import (reference_degree_normalized_csr,
+                            reference_degree_normalized_dense,
+                            reference_top_k_per_group)
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +280,103 @@ class TestPrunedSubsetInvariant:
                 pruned.layers[level].relations.tolist(),
                 pruned.layers[level].tails.tolist()))
             assert pruned_edges <= full_edges
+
+
+# ----------------------------------------------------------------------
+# Degree normalization at lookup against the store divisions it replaced
+# ----------------------------------------------------------------------
+
+#: raw scores with repeats (ties) and values float32 cannot hold exactly
+RAW_SCORES = [0.0, 0.1, 0.125, 0.3, 0.5, 1.0]
+BUDGETS = [1, 2, 5, None]
+
+
+def _directed_ckg(data):
+    """A random directed CKG without reverse twins.  The last node heads
+    no edge and user 0 points at it, so a tail with out-degree 0 is
+    always expanded."""
+    num_users = data.draw(st.integers(1, 4), label="num_users")
+    num_nodes = num_users + data.draw(st.integers(2, 10), label="others")
+    edges = data.draw(st.lists(
+        st.tuples(st.integers(0, num_nodes - 2), st.integers(0, 3),
+                  st.integers(0, num_nodes - 1)),
+        max_size=60, unique=True), label="edges")
+    edges = sorted(set(edges) | {(0, 0, num_nodes - 1)})
+    heads, relations, tails = (np.asarray(column, dtype=np.int64)
+                               for column in zip(*edges))
+    return CollaborativeKG(
+        num_users=num_users, num_items=num_nodes - num_users,
+        num_entities=0, num_base_relations=2,
+        item_nodes=np.arange(num_users, num_nodes, dtype=np.int64),
+        heads=heads, relations=relations, tails=tails, num_nodes=num_nodes)
+
+
+def _assert_same_graph(actual, expected):
+    """Every node table and edge array equal, dtype included."""
+    pairs = list(zip(actual.slots + actual.nodes,
+                     expected.slots + expected.nodes))
+    for a, b in zip(actual.layers, expected.layers):
+        pairs += [(getattr(a, name), getattr(b, name)) for name in
+                  ("src_pos", "relations", "dst_pos", "heads", "tails")]
+    assert actual.depth == expected.depth
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestDegreeNormalizedPruning:
+    """The pruner on raw rows with ``degree_normalized=True`` keeps the
+    graph it kept on rows divided up front (the trainer's dense float64
+    division and the CSR stores' float32 one), on every score store."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_divided_stores(self, data):
+        ckg = _directed_ckg(data)
+        raw = np.asarray(data.draw(st.lists(
+            st.sampled_from(RAW_SCORES),
+            min_size=ckg.num_users * ckg.num_nodes,
+            max_size=ckg.num_users * ckg.num_nodes), label="scores"),
+            dtype=np.float64).reshape(ckg.num_users, ckg.num_nodes)
+        users = data.draw(st.lists(st.integers(0, ckg.num_users - 1),
+                                   min_size=1, max_size=5), label="users")
+        all_users = list(range(ckg.num_users))
+        depth = data.draw(st.integers(1, 3), label="depth")
+        k = data.draw(st.one_of(
+            st.sampled_from(BUDGETS),
+            st.lists(st.sampled_from(BUDGETS), min_size=depth,
+                     max_size=depth)), label="k")
+        chunk = data.draw(st.integers(1, ckg.num_users), label="chunk")
+        divided = reference_degree_normalized_dense(raw, ckg)
+        store = sparsify_scores(raw, all_users, top_m=ckg.num_nodes)
+        store_divided = reference_degree_normalized_csr(store, ckg)
+
+        def check(batch, rows, divided_rows):
+            slots = np.repeat(np.arange(len(batch)), ckg.num_nodes)
+            nodes = np.tile(np.arange(ckg.num_nodes), len(batch))
+            scores = _edge_scores(ckg, rows, slots, nodes, True)
+            expected = _edge_scores(ckg, divided_rows, slots, nodes, False)
+            assert scores.dtype == expected.dtype
+            assert np.array_equal(scores, expected)
+            _assert_same_graph(
+                build_user_centric_graph(ckg, batch, depth=depth,
+                                         ppr_scores=rows, k=k,
+                                         degree_normalized=True),
+                build_user_centric_graph(ckg, batch, depth=depth,
+                                         ppr_scores=divided_rows, k=k))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scores.npy")
+            np.save(path, raw)
+            mapped = np.load(path, mmap_mode="r")
+            writer = ShardWriter(os.path.join(tmp, "shards"), ckg.num_nodes)
+            for part in store.parts(chunk):
+                writer.append(part)
+            sharded = writer.finalize(max_open=1)
+            sharded_rows = sharded.select(users)
+
+            check(users, raw[users], divided[users])
+            check(all_users, mapped, divided)
+            check(users, store.select(users), store_divided.select(users))
+            check(users, sharded_rows,
+                  reference_degree_normalized_csr(sharded_rows, ckg))

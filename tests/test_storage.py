@@ -104,13 +104,6 @@ class TestBitwiseParity:
             assert np.array_equal(ram.residual_for_user(user),
                                   sharded.residual_for_user(user))
 
-    def test_normalize_by_degree_bitwise(self, ckg, tmp_path):
-        ram, sharded = _pair(ckg, tmp_path)
-        degrees = np.diff(ckg.indptr)
-        ram.normalize_by_degree(degrees)
-        sharded.normalize_by_degree(degrees)
-        assert np.array_equal(ram.toarray(), sharded.toarray())
-
     def test_lookup_error_contract_matches_ram(self, ckg, tmp_path):
         ram, sharded = _pair(ckg, tmp_path)
         for store in (ram, sharded):
@@ -336,13 +329,14 @@ class TestCrashConsistency:
 
     @staticmethod
     def _rewrite(operation, ckg, store):
-        """Run ``operation`` on ``store``; return the store it produces."""
-        if operation == "incremental_push":
-            item = next(i for i in range(ckg.num_items)
-                        if not ckg.has_interaction(0, i))
-            return incremental_push(ckg, store, [(0, item)]).scores
-        store.normalize_by_degree(np.diff(ckg.indptr))
-        return store
+        """Run ``operation`` on ``store``; return the store it produces.
+
+        ``incremental_push`` is the one operation that rewrites a store
+        after its solve (the pruner degree-normalizes at lookup)."""
+        assert operation == "incremental_push"
+        item = next(i for i in range(ckg.num_items)
+                    if not ckg.has_interaction(0, i))
+        return incremental_push(ckg, store, [(0, item)]).scores
 
     @staticmethod
     def _arrays(store):
@@ -355,8 +349,7 @@ class TestCrashConsistency:
         for x, y in zip(a[1], b[1]):
             assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("operation",
-                             ["incremental_push", "normalize_by_degree"])
+    @pytest.mark.parametrize("operation", ["incremental_push"])
     def test_failed_manifest_replace_keeps_previous_version(
             self, ckg, store, monkeypatch, operation):
         before = self._arrays(store)
@@ -368,8 +361,7 @@ class TestCrashConsistency:
         assert reopened.manifest["version"] == 0
         self._assert_same(self._arrays(reopened), before)
 
-    @pytest.mark.parametrize("operation",
-                             ["incremental_push", "normalize_by_degree"])
+    @pytest.mark.parametrize("operation", ["incremental_push"])
     def test_failed_unlink_still_publishes_new_version(
             self, ckg, store, monkeypatch, operation):
         monkeypatch.setattr(os, "unlink", _refuse)
@@ -553,6 +545,59 @@ class TestStoreSelection:
             assert isinstance(mmap.ppr_scores, ShardedPPRScores)
             assert np.array_equal(ram.ppr_scores.toarray(),
                                   mmap.ppr_scores.toarray())
+
+    @pytest.mark.parametrize("store", ["ram", "mmap"])
+    @pytest.mark.parametrize("ppr_method", ["push", "power"])
+    def test_trainer_store_stays_as_solved(self, split, ppr_method, store,
+                                           tmp_path):
+        """Through a fit, a service, a served batch and a write, the
+        trainer's scores stay bitwise what the solver wrote, and a shard
+        store stays at the version its solve wrote."""
+        from repro.serve import RecommendationService
+
+        config = TrainConfig(epochs=1, k=10, seed=0, ppr_method=ppr_method,
+                             ppr_chunk_users=16, ppr_store=store,
+                             ppr_store_dir=str(tmp_path / "train"))
+        rec = KUCNetRecommender(KUCNetConfig(dim=8, depth=2, seed=0),
+                                config)
+        rec.fit(split)
+        service = RecommendationService.from_recommender(
+            rec, split, store=store, store_dir=str(tmp_path / "serve"))
+        service.recommend([0, 1, 2])
+        item = next(i for i in range(rec.ckg.num_items)
+                    if not rec.ckg.has_interaction(0, i))
+        assert service.add_interactions([(0, item)])["added"] == 1
+
+        users = np.arange(rec.ckg.num_users)
+        if ppr_method == "power":
+            solved = np.concatenate([
+                personalized_pagerank_batch(
+                    rec.ckg, users[start:start + 16],
+                    alpha=config.ppr_alpha,
+                    iterations=config.ppr_iterations).scores
+                for start in range(0, users.size, 16)])
+            assert np.array_equal(np.asarray(rec.ppr_scores), solved)
+            return
+        solve = dict(alpha=config.ppr_alpha, epsilon=config.ppr_epsilon,
+                     top_m=config.ppr_top_m, chunk_users=16)
+        if store == "ram":
+            solved = forward_push_batch(rec.ckg, users, **solve)
+            got = rec.ppr_scores
+        else:
+            solved = forward_push_sharded(rec.ckg, users,
+                                          str(tmp_path / "solved"), **solve)
+            manifest = rec.ppr_scores.manifest
+            assert manifest["version"] == 0
+            assert set(os.listdir(rec.ppr_scores.directory)) == {
+                MANIFEST_NAME, manifest["users_file"]}.union(
+                *(entry["files"].values() for entry in manifest["shards"]))
+            assert set(os.listdir(rec.ppr_scores.directory)) == set(
+                os.listdir(solved.directory))
+            solved, got = (solved.select(users.tolist()),
+                           rec.ppr_scores.select(users.tolist()))
+        for name in ("users", "indptr", "node_ids", "values"):
+            assert np.array_equal(getattr(got, name), getattr(solved, name))
+        assert got.residual == solved.residual
 
     def test_trainer_env_var_selects_mmap(self, split, monkeypatch):
         monkeypatch.setenv(STORE_ENV_VAR, "mmap")

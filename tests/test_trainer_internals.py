@@ -101,8 +101,8 @@ class TestGraphCache:
         assert rec._graph_for((a,)) is first
 
     def test_load_ignores_the_retired_bound(self, split, tmp_path):
-        """A model saved while ``graph_cache_entries`` was a config
-        field still loads."""
+        """A model saved while ``graph_cache_entries`` and
+        ``ppr_tolerance`` were config fields still loads."""
         rec = KUCNetRecommender(KUCNetConfig(dim=8, depth=2, seed=0),
                                 TrainConfig(epochs=1, k=5, seed=0))
         rec.fit(split)
@@ -112,6 +112,7 @@ class TestGraphCache:
             payload = {key: archive[key] for key in archive.files}
         train = json.loads(payload["config::train"].tobytes())
         train["graph_cache_entries"] = 64
+        train["ppr_tolerance"] = 1e-9
         payload["config::train"] = np.frombuffer(
             json.dumps(train).encode(), dtype=np.uint8)
         np.savez(path, **payload)
@@ -201,18 +202,24 @@ class TestNegativePool:
 
 class TestPPRNormalization:
     def test_degree_normalization_changes_scores(self, split):
-        raw = KUCNetRecommender(
-            KUCNetConfig(dim=8, depth=3, seed=0),
-            TrainConfig(epochs=1, k=10, seed=0, ppr_degree_normalized=False))
-        raw.prepare(split)
-        normalized = KUCNetRecommender(
-            KUCNetConfig(dim=8, depth=3, seed=0),
-            TrainConfig(epochs=1, k=10, seed=0, ppr_degree_normalized=True))
-        normalized.prepare(split)
-        assert not np.allclose(raw.ppr_scores, normalized.ppr_scores)
-        degrees = np.diff(raw.ckg.indptr).astype(float)
-        expected = raw.ppr_scores / np.maximum(degrees, 1.0)[None, :]
-        assert np.allclose(normalized.ppr_scores, expected)
+        """The flag changes the scores the pruner ranks by, and so the
+        pruned graph, while the stored PPR scores stay as solved."""
+        def prepared(degree_normalized):
+            rec = KUCNetRecommender(
+                KUCNetConfig(dim=8, depth=3, seed=0),
+                TrainConfig(epochs=1, k=10, seed=0,
+                            ppr_degree_normalized=degree_normalized))
+            rec.prepare(split)
+            return rec
+
+        raw, normalized = prepared(False), prepared(True)
+        assert np.array_equal(raw.ppr_scores, normalized.ppr_scores)
+        users = (0, 1, 2)
+        raw_graph = raw._graph_for(users)
+        normalized_graph = normalized._graph_for(users)
+        assert any(
+            not np.array_equal(a.tails, b.tails)
+            for a, b in zip(raw_graph.layers, normalized_graph.layers))
 
     def test_normalization_shifts_ranking_away_from_hubs(self, split):
         rec = KUCNetRecommender(

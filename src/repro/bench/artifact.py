@@ -25,7 +25,7 @@ import json
 import os
 import platform
 import subprocess
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 __all__ = ["SCHEMA", "SCHEMA_PREFIX", "git_sha", "machine_fingerprint",
            "save_report", "load_report", "validate_report"]
@@ -39,8 +39,15 @@ _WORKLOAD_FIELDS = ("median_seconds", "iqr_seconds", "min_seconds",
 _TELEMETRY_SECTIONS = ("spans", "counters", "gauges", "histograms")
 
 
-def git_sha(cwd: str = ".") -> str:
-    """The repository HEAD SHA, or ``"unknown"`` outside a checkout."""
+def git_sha(cwd: Optional[str] = None) -> str:
+    """HEAD SHA of the checkout holding ``cwd``, ``"unknown"`` outside one.
+
+    ``cwd`` defaults to the imported ``repro`` package's directory, so a
+    bench run or run-registry commit stamps the code that ran, not the
+    checkout the process happened to start in.
+    """
+    if cwd is None:
+        cwd = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=cwd,
                              capture_output=True, text=True, timeout=10)

@@ -95,11 +95,13 @@ class AttentionMessagePassing(Module):
         ``(hidden, attention)`` where ``hidden`` is ``(num_dst, dim)``
         and ``attention`` the per-edge weights, or ``None`` unless
         ``collect_attention``.
-        """
-        if edges.num_edges == 0:
-            zero = Tensor(np.zeros((num_dst, self.dim)))
-            return zero, (np.empty(0) if collect_attention else None)
 
+        A layer without edges runs the same kernel, which returns zeros
+        and, under a tape, records a node whose backward gives every
+        parameter a +0.0 gradient, as the whole graph's zero terms
+        would; the dropout draws its mask over all ``num_dst`` rows
+        either way.
+        """
         aggregated, attention_values = fused_attention_messages(
             hidden_prev, edges.src_pos, edges.relations, edges.dst_pos,
             num_dst,

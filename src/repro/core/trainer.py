@@ -6,8 +6,8 @@
 2. precompute PPR scores for every user (the one-time preprocessing of
    Table VI);
 3. optimize the BPR loss (Eq. 14) with Adam over (user, i+, i-) triplets,
-   evaluating whole user batches on their shared pruned user-centric
-   computation graphs;
+   evaluating whole user batches on the part of their shared pruned
+   user-centric computation graph that reaches a sampled item;
 4. score all items per user for the all-ranking evaluation.
 
 Variants (Table IX / Fig. 6) are selected by configuration:
@@ -405,13 +405,31 @@ class KUCNetRecommender:
         return [batches[index] for index in order]
 
     def _train_step(self, users: Sequence[int], split: Split):
-        """Loss for one user batch (the engine owns the optimizer cycle)."""
+        """Loss for one user batch (the engine owns the optimizer cycle).
+
+        The pairs are sampled first; the step then propagates only the
+        batch graph's edges on a path to a last-layer row the BPR loss
+        reads (:meth:`ComputationGraph.restrict_to_rows`).  Each read row
+        sums the same messages in the same order as on the whole graph,
+        so the loss keeps its bits wherever BLAS gives each edge's
+        products the same bits in the shorter edge list (see
+        ``docs/performance.md``).  ``_graph_for`` still draws before
+        ``_sample_pairs`` and propagation draws nothing from
+        ``self._rng``, so every random stream keeps its order.  A batch
+        without pairs still propagates (no edges) before it returns
+        ``None``, which keeps the dropout generators in step.
+        ``train.support_edges`` counts the edges propagated.
+        """
         graph = self._graph_for(tuple(users))
         self.model.train()
         with telemetry.span("train.forward"):
-            propagation = self.model.propagate(graph)
-
             slots, pos_nodes, neg_nodes = self._sample_pairs(users, split)
+            rows = graph.rows_for_pairs(graph.depth,
+                                        np.concatenate([slots, slots]),
+                                        np.concatenate([pos_nodes, neg_nodes]))
+            support = graph.restrict_to_rows(rows[rows >= 0])
+            telemetry.counter("train.support_edges", support.total_edges())
+            propagation = self.model.propagate(support)
             if slots.size == 0:
                 return None
             pos_scores = self.model.pair_scores(propagation, slots, pos_nodes)
@@ -501,7 +519,9 @@ class KUCNetRecommender:
         :meth:`_epoch_batches` planned (one entry before any); batch
         membership is stable across epochs, so from epoch 2 on every
         batch hits.  ``train.graph_cache_hits`` / ``..._misses`` record
-        its behavior.
+        its behavior.  Cached graphs are never modified: each step
+        propagates its own ``restrict_to_rows`` copy of one, which
+        shares the node tables.
         """
         if self.train_config.sampler == "random":
             return build_user_centric_graph(

@@ -109,22 +109,28 @@ def personalized_pagerank_batch(ckg: CollaborativeKG, users: Sequence[int],
     num_nodes = ckg.num_nodes
 
     # Restart matrix: column k is the one-hot vector of users[k].
+    columns = np.arange(user_array.size)
     restart = np.zeros((num_nodes, user_array.size))
-    restart[user_array, np.arange(user_array.size)] = 1.0
-    restart_mass = alpha * restart
+    restart[user_array, columns] = 1.0
 
     # Two iterate buffers: each sweep writes the new iterate over the
     # spare one, then spends the old iterate on the max-norm update.
+    # The restart mass is added at the one non-zero cell per column
+    # only: every other cell is a sum of non-negative terms, so adding
+    # its 0.0 would not change it.  The update is read by the early stop
+    # and by the last sweep's ``ppr.residual`` gauge, so it is only
+    # taken where one of them reads it.
     ranks = restart
     updated = np.empty_like(ranks)
     residual = np.inf
     with telemetry.span("ppr.power_iteration"):
         sweeps = 0
-        for _ in range(iterations):
+        for sweep in range(iterations):
             np.multiply(1.0 - alpha, matrix @ ranks, out=updated)
-            updated += restart_mass
-            np.subtract(updated, ranks, out=ranks)
-            residual = float(np.abs(ranks, out=ranks).max())
+            updated[user_array, columns] += alpha
+            if tolerance > 0.0 or sweep == iterations - 1:
+                np.subtract(updated, ranks, out=ranks)
+                residual = float(np.abs(ranks, out=ranks).max())
             ranks, updated = updated, ranks
             sweeps += 1
             if tolerance > 0.0 and residual < tolerance:

@@ -114,6 +114,33 @@ class ComputationGraph:
         found = keys[positions] == wanted
         return np.where(found, positions, -1)
 
+    def restrict_to_rows(self, last_rows: np.ndarray) -> "ComputationGraph":
+        """This graph with only the edges on a path to ``last_rows``.
+
+        Walks from layer ``L`` down: an edge stays iff its ``dst_pos``
+        row is needed, and the kept edges' ``src_pos`` rows are the
+        needed rows one layer down.  Kept edges keep their order and the
+        node tables are shared, not copied, so every needed row sums the
+        same messages in the same order as on this graph, which is left
+        unmodified.
+        """
+        layers: List[LayerEdges] = []
+        needed = np.zeros(self.layer_size(self.depth), dtype=bool)
+        needed[last_rows] = True
+        for level in range(self.depth, 0, -1):
+            edges = self.layers[level - 1]
+            keep = needed[edges.dst_pos]
+            layers.append(LayerEdges(
+                src_pos=edges.src_pos[keep], relations=edges.relations[keep],
+                dst_pos=edges.dst_pos[keep], heads=edges.heads[keep],
+                tails=edges.tails[keep]))
+            needed = np.zeros(self.layer_size(level - 1), dtype=bool)
+            needed[layers[-1].src_pos] = True
+        return ComputationGraph(users=self.users,
+                                num_ckg_nodes=self.num_ckg_nodes,
+                                slots=list(self.slots), nodes=list(self.nodes),
+                                layers=layers[::-1])
+
 
 def build_user_centric_graph(
     ckg: CollaborativeKG,

@@ -60,21 +60,33 @@ as it did on the divided stores:
   float64 ``scores / max(deg, 1)[None, :]``;
 * :func:`reference_degree_normalized_csr` — the CSR stores' float32
   ``values /= max(deg, 1)[node_ids]``, on a copy.
+
+Power-iteration PPR keeps the sweep that adds the dense restart matrix
+and takes the max-norm update on every sweep:
+
+* :func:`reference_personalized_pagerank_batch` — bitwise equal to
+  ``repro.ppr.personalized_pagerank_batch`` in scores, residual and
+  the ``ppr.sweeps`` counter, early stop included.
+
+The KUCNet training step keeps the whole-graph composition it replaced:
+
+* :func:`reference_train_step` — propagates the batch's whole cached
+  graph, then samples the pairs; ``KUCNetRecommender._train_step``
+  propagates only the edges on a path to a row the loss reads, and
+  must give the bitwise-same loss and leave every random stream in the
+  same state.
 """
 
 import numpy as np
 
-from repro.autodiff import Tensor, gather_rows, segment_sum
-from repro.ppr import SparsePPRScores
+from repro import telemetry
+from repro.autodiff import Tensor, bpr_loss, gather_rows, segment_sum
+from repro.ppr import PPRScores, SparsePPRScores
 
 
 def reference_attention_layer(layer, hidden_prev, edges, num_dst,
                               collect_attention=False):
     """``layer(hidden_prev, edges, num_dst)`` through the primitive ops."""
-    if edges.num_edges == 0:
-        zero = Tensor(np.zeros((num_dst, layer.dim)))
-        return zero, (np.empty(0) if collect_attention else None)
-
     h_src = gather_rows(hidden_prev, edges.src_pos)
     h_rel = layer.relation_embedding(edges.relations)
 
@@ -358,3 +370,43 @@ def reference_degree_normalized_csr(scores, ckg):
     return SparsePPRScores(users=scores.users, num_nodes=scores.num_nodes,
                            indptr=scores.indptr, node_ids=scores.node_ids,
                            values=values, residual=scores.residual)
+
+
+def reference_personalized_pagerank_batch(ckg, users, alpha=0.15,
+                                          iterations=20, tolerance=0.0):
+    """Eq. 13 with the dense restart mass added and the max-norm update
+    taken on every sweep."""
+    matrix = ckg.normalized_adjacency()
+    user_array = np.asarray(list(users), dtype=np.int64)
+    restart = np.zeros((ckg.num_nodes, user_array.size))
+    restart[user_array, np.arange(user_array.size)] = 1.0
+    restart_mass = alpha * restart
+    ranks = restart
+    updated = np.empty_like(ranks)
+    residual = np.inf
+    sweeps = 0
+    for _ in range(iterations):
+        np.multiply(1.0 - alpha, matrix @ ranks, out=updated)
+        updated += restart_mass
+        np.subtract(updated, ranks, out=ranks)
+        residual = float(np.abs(ranks, out=ranks).max())
+        ranks, updated = updated, ranks
+        sweeps += 1
+        if tolerance > 0.0 and residual < tolerance:
+            break
+    telemetry.counter("ppr.sweeps", sweeps)
+    return PPRScores(users=user_array, scores=ranks.T.copy(),
+                     residual=residual)
+
+
+def reference_train_step(recommender, users, split):
+    """``recommender._train_step`` over the batch's whole cached graph."""
+    graph = recommender._graph_for(tuple(users))
+    recommender.model.train()
+    propagation = recommender.model.propagate(graph)
+    slots, pos_nodes, neg_nodes = recommender._sample_pairs(users, split)
+    if slots.size == 0:
+        return None
+    pos_scores = recommender.model.pair_scores(propagation, slots, pos_nodes)
+    neg_scores = recommender.model.pair_scores(propagation, slots, neg_nodes)
+    return bpr_loss(pos_scores, neg_scores)

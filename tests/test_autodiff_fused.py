@@ -103,6 +103,45 @@ class TestAttentionLayerParity:
             assert np.all(out.data == 0.0)
             assert alpha.shape == (0,)
 
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_zero_edges_record_zero_gradients(self, use_attention):
+        """A layer without edges still records: it and the layers before
+        it get +0.0 gradients, bitwise the op-by-op composition's."""
+        empty = LayerEdges(*(np.empty(0, dtype=np.int64) for _ in range(5)))
+        hidden, edges, num_dst = _layer_inputs()
+        first = _make_layer(use_attention=use_attention, seed=3)
+        second = _make_layer(use_attention=use_attention, seed=4)
+        params = [hidden] + first.parameters() + second.parameters()
+
+        def run(forward):
+            def fn():
+                middle, _ = forward(first, hidden, edges, num_dst)
+                out, _ = forward(second, middle, empty, 3)
+                return (out * out).sum()
+            return fn
+
+        check_gradients_match(run(_FUSED), run(reference_attention_layer),
+                              params, atol=0.0, rtol=0.0)
+        for param in params:
+            param.grad = None
+        run(_FUSED)().backward()
+        used = [param for param in params if param.grad is not None]
+        # hidden, then per layer the relation table and W (+ 4 attention)
+        assert len(used) == 1 + 2 * (6 if use_attention else 2)
+        for param in used:
+            assert not param.grad.any()
+            assert not np.signbit(param.grad).any()
+
+    def test_zero_edges_without_tape_return_zeros(self):
+        layer = _make_layer(dim=4)
+        empty = LayerEdges(*(np.empty(0, dtype=np.int64) for _ in range(5)))
+        hidden = Tensor(np.ones((2, 4)), requires_grad=True)
+        with no_tape():
+            out, alpha = layer(hidden, empty, 3)
+        assert out.shape == (3, 4) and not out.data.any()
+        assert alpha is None
+        assert not out.requires_grad
+
     def test_fused_finite_difference_gradcheck(self):
         hidden, edges, num_dst = _layer_inputs(num_src=6, num_dst=5,
                                                num_edges=12, dim=3)

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry as tm
+from repro.data import lastfm_like, traditional_split
 from repro.graph import CollaborativeKG, KnowledgeGraph, UserItemGraph
 from repro.ppr import (personalized_pagerank, personalized_pagerank_batch,
                        top_k_items_by_ppr)
+
+from .reference_ops import reference_personalized_pagerank_batch
 
 
 @pytest.fixture
@@ -95,6 +99,48 @@ class TestPPR:
         scores = personalized_pagerank(graph, 0, alpha=alpha)
         assert scores.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(scores >= 0)
+
+
+class TestPowerIterationOracle:
+    """The sweep adds the restart mass at the restart cells only and takes
+    the max-norm update only where it is read; the oracle adds the dense
+    restart matrix and takes it every sweep.  Bitwise equal either way."""
+
+    @pytest.fixture(scope="class")
+    def dataset_ckg(self):
+        split = traditional_split(lastfm_like(seed=0, scale=0.25), seed=0)
+        return split.dataset.build_ckg(split.train)
+
+    @staticmethod
+    def _solve(solver, ckg, users, **kwargs):
+        tm.reset()
+        with tm.enabled():
+            result = solver(ckg, users, **kwargs)
+        counters = tm.get_registry().snapshot()["counters"]
+        tm.reset()
+        return result, counters["ppr.sweeps"]["total"]
+
+    @pytest.mark.parametrize("users,iterations,tolerance", [
+        (list(range(24)), 20, 0.0),
+        (list(range(24)), 80, 1e-6),
+        ([5], 20, 0.0),
+        ([5], 40, 1e-5),
+        ([3, 3, 0], 1, 0.0),
+        ([1, 2], 8, 0.5),
+    ])
+    def test_bitwise_equal_to_oracle(self, dataset_ckg, users, iterations,
+                                     tolerance):
+        ours, our_sweeps = self._solve(
+            personalized_pagerank_batch, dataset_ckg, users,
+            iterations=iterations, tolerance=tolerance)
+        theirs, their_sweeps = self._solve(
+            reference_personalized_pagerank_batch, dataset_ckg, users,
+            iterations=iterations, tolerance=tolerance)
+        assert ours.scores.tobytes() == theirs.scores.tobytes()
+        assert ours.residual == theirs.residual
+        assert our_sweeps == their_sweeps
+        if tolerance > 0.0:
+            assert our_sweeps < iterations
 
 
 class TestTopKItems:

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import socket
+import subprocess
 import threading
 import time
 import types
@@ -12,6 +13,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro import runstore, telemetry as tm
 from repro.bench.artifact import SCHEMA
 from repro.bench.compare import compare_reports
@@ -166,6 +168,18 @@ class TestRunStore:
         monkeypatch.setenv(runstore.ENV_RUNS_DIR, str(tmp_path / "y"))
         from_env = runstore.active_store()
         assert from_env is not None and from_env.root.endswith("y")
+
+    def test_commit_stamps_the_package_checkout_not_the_cwd(
+            self, store, tmp_path, monkeypatch):
+        head = subprocess.run(["git", "rev-parse", "HEAD"],
+                              cwd=os.path.dirname(repro.__file__),
+                              capture_output=True, text=True)
+        if head.returncode != 0:
+            pytest.skip("the repro package is not in a git checkout")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert commit_run(store).git_sha == head.stdout.strip()
 
     def test_suppression_nests(self):
         assert not runstore.auto_commit_suppressed()
